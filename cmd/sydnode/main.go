@@ -48,7 +48,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wal"
-	"repro/internal/wire"
 )
 
 // serveDebug exposes the stock net/http/pprof handlers plus a
@@ -130,17 +129,12 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a WAL-shipping follower for this user (requires -data-dir and -lease-ttl; promotes to primary when the lease expires)")
 	replicasFlag := flag.String("replicas", "", "comma-separated follower addresses advertised on every lease renewal (the promotion candidate set)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "replication lease TTL; with -data-dir the node serves as a lease-holding primary (0 = replication off)")
-	wireCodec := flag.String("wire-codec", "json", "frame body codec to send: json or v3 (negotiated per connection; json stays the fallback)")
 	offlineQueue := flag.Int("offline-queue", 0, "enable disconnected operation with an op queue of this capacity (writes queue locally while partitioned and sync on reconnect; 0 disables)")
 	offlineOverflow := flag.String("offline-overflow", "drop-oldest", "with -offline-queue: at-capacity policy — drop-oldest or reject-new")
 	syncRelevance := flag.Bool("sync-relevance", true, "with -offline-queue: serve reconnect Pulls relevance-filtered (false ships full state — baseline for comparison)")
 	flag.Parse()
 
-	codec, err := wire.ParseCodec(*wireCodec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	net := transport.NewTCP(transport.WithPoolSize(*poolSize), transport.WithWireCodec(codec))
+	net := transport.NewTCP(transport.WithPoolSize(*poolSize))
 	var replStatus atomic.Value // func() (replication.Status, bool)
 	replStatus.Store(func() (replication.Status, bool) { return replication.Status{}, false })
 	statusFn := func() (replication.Status, bool) {

@@ -213,7 +213,7 @@ func (r *replayReader) Read(p []byte) (int, error) {
 // MicroWireCodecV3 measures one codec-v3 frame round trip — encode a
 // representative negotiation request into a pooled FrameBuffer, then
 // decode an identical frame through a warm FrameReader — the per-frame
-// cost every RPC between two v3 nodes pays.
+// cost every RPC pays.
 func MicroWireCodecV3(b *testing.B) {
 	env := &wire.Envelope{Kind: wire.KindRequest, Request: &wire.Request{
 		ID:      42,
@@ -228,7 +228,7 @@ func MicroWireCodecV3(b *testing.B) {
 		},
 		Meta: wire.Metadata{"request-id": "r-4f3a2b1c", "hops": "1"},
 	}}
-	seed, err := wire.EncodeFrameCodec(env, wire.CodecV3)
+	seed, err := wire.EncodeFrame(env)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func MicroWireCodecV3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := wire.EncodeFrameCodec(env, wire.CodecV3)
+		f, err := wire.EncodeFrame(env)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func TestChaosNegotiations(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			h := newHarness(t, "a", "b", "x", "y")
+			h := newHarnessOn(t, framed, "a", "b", "x", "y")
 			runChaos(t, h, nil, seed, 55) // 55 rounds x 2 racing negotiations x 3 seeds = 330 total
 		})
 	}

@@ -2,6 +2,7 @@ package links_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/directory"
 	"repro/internal/links"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -181,6 +183,82 @@ func TestCascadeDeleteToleratesDownNode(t *testing.T) {
 	}
 	if pd := h.nodes["a"].Links.PendingDeletes(); len(pd) != 0 {
 		t.Fatalf("tombstones remain: %v", pd)
+	}
+}
+
+// TestCascadeDeleteTombstonesSlowPeer: a participant that answers
+// slower than the caller's deadline is tombstoned like a down one (the
+// local row is already gone, so only the tombstone can finish the
+// cascade), and a sweep that times out again keeps the tombstone.
+func TestCascadeDeleteTombstonesSlowPeer(t *testing.T) {
+	h := newHarness(t, "a", "b")
+	ctx := context.Background()
+	tpl := newLink("LS", links.Negotiation, links.Permanent,
+		links.EntityRef{User: "a", Entity: "s"}, refs("b", "s"))
+	if _, err := h.nodes["a"].Links.CreateNegotiatedLink(ctx, tpl, "reserve", wire.Args{"meeting": "M"}); err != nil {
+		t.Fatal(err)
+	}
+	lm := h.nodes["a"].Links
+	h.net.SetLatency(time.Second, 0)
+	dctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	_, err := lm.DeleteLink(dctx, "LS", nil)
+	cancel()
+	if err != nil {
+		t.Fatalf("cascade to a slow peer errored: %v", err)
+	}
+	if pd := lm.PendingDeletes(); len(pd) != 1 || pd[0] != [2]string{"LS", "b"} {
+		t.Fatalf("pending deletes = %v, want the slow peer tombstoned", pd)
+	}
+	sctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	n := lm.RetryPendingDeletes(sctx)
+	cancel()
+	if n != 0 || len(lm.PendingDeletes()) != 1 {
+		t.Fatalf("a sweep that timed out dropped the tombstone (done=%d, left=%v)", n, lm.PendingDeletes())
+	}
+	if _, ok := h.nodes["b"].Links.GetLink("LS"); !ok {
+		t.Fatal("b's row vanished before any delete reached it")
+	}
+	h.net.SetLatency(0, 0)
+	if n := lm.RetryPendingDeletes(ctx); n != 1 {
+		t.Fatalf("retry removed %d tombstones, want 1", n)
+	}
+	if _, ok := h.nodes["b"].Links.GetLink("LS"); ok {
+		t.Fatal("b's row survived the retry")
+	}
+}
+
+var errAck = errors.New("injected: ack failed")
+
+// failingAcks is a store.MutationLogger whose durability ack fails for
+// every unit that touches table.
+type failingAcks struct{ table string }
+
+func (failingAcks) LogDDLTable(store.Schema) store.Ack   { return nil }
+func (failingAcks) LogDDLIndex(string, string) store.Ack { return nil }
+func (f failingAcks) LogTx(ops []store.LoggedOp) store.Ack {
+	for _, op := range ops {
+		if op.Table == f.table {
+			return func() error { return errAck }
+		}
+	}
+	return nil
+}
+
+// TestCascadeDeleteSurfacesTombstoneFailure: when the tombstone for an
+// unreachable participant cannot be made durable, DeleteLink reports
+// it instead of dropping the participant's deletion silently.
+func TestCascadeDeleteSurfacesTombstoneFailure(t *testing.T) {
+	h := newHarness(t, "a", "b")
+	ctx := context.Background()
+	tpl := newLink("LA", links.Negotiation, links.Permanent,
+		links.EntityRef{User: "a", Entity: "s"}, refs("b", "s"))
+	if _, err := h.nodes["a"].Links.CreateNegotiatedLink(ctx, tpl, "reserve", wire.Args{"meeting": "M"}); err != nil {
+		t.Fatal(err)
+	}
+	h.net.SetDown("node-b", true)
+	h.nodes["a"].DB.SetLogger(failingAcks{table: links.PendingDeleteTable})
+	if _, err := h.nodes["a"].Links.DeleteLink(ctx, "LA", nil); !errors.Is(err, errAck) {
+		t.Fatalf("DeleteLink err = %v, want the tombstone's ack failure", err)
 	}
 }
 

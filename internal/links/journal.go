@@ -254,9 +254,10 @@ func commitQoS(t Tuning) engine.QoS {
 	return engine.QoS{Retries: 1, Backoff: t.RetryBase / 8, AttemptTimeout: 5 * time.Second}
 }
 
-// transientErr reports whether a commit failure may heal by itself
-// (unreachable device, lost message, timeout). Everything else —
-// conflict, bad args, auth — is definitive: re-sending cannot succeed.
+// transientErr reports whether a failed call (a commit, a cascade
+// delete) may heal by itself (unreachable device, lost message,
+// timeout). Everything else — conflict, bad args, auth — is
+// definitive: re-sending cannot succeed.
 func transientErr(err error) bool {
 	if errors.Is(err, context.DeadlineExceeded) {
 		return true

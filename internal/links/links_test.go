@@ -3,7 +3,6 @@ package links_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -54,28 +53,20 @@ type harness struct {
 	cpAddr string // set on sharded harnesses; nodes route via the control plane
 }
 
-// simConfig honors SYD_CHAOS_CODEC: when set to "json" or "v3", every
-// simulated delivery rides a full frame encode→decode round trip with
-// that codec, so the whole links suite — the chaos harness above all —
-// proves its invariants under the real wire encodings. CI runs the
-// chaos job once per codec; unset means the default pointer delivery.
-func simConfig(t *testing.T) sim.Config {
-	t.Helper()
-	cfg := sim.Config{}
-	if v := os.Getenv("SYD_CHAOS_CODEC"); v != "" {
-		c, err := wire.ParseCodec(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.EncodeFrames = true
-		cfg.FrameCodec = c
-	}
-	return cfg
-}
+// framed makes every simulated delivery ride a full wire-frame
+// encode→decode round trip, so the chaos suites prove their invariants
+// over the real wire encoding rather than shared pointers.
+var framed = sim.Config{EncodeFrames: true}
 
 func newHarness(t *testing.T, users ...string) *harness {
 	t.Helper()
-	net := sim.New(simConfig(t))
+	return newHarnessOn(t, sim.Config{}, users...)
+}
+
+// newHarnessOn is newHarness over a sim network configured by cfg.
+func newHarnessOn(t *testing.T, cfg sim.Config, users ...string) *harness {
+	t.Helper()
+	net := sim.New(cfg)
 	clk := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
 	srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(time.Hour))
 	_, err := net.Listen("dir", srv.Handler())
@@ -89,14 +80,14 @@ func newHarness(t *testing.T, users ...string) *harness {
 	return h
 }
 
-// newShardedHarness is newHarness against a 4-shard directory behind
-// the epoch-versioned control plane, so the link layer's lookups and
-// liveness checks all route through the shard map. The returned
+// newShardedHarness is a framed harness against a 4-shard directory
+// behind the epoch-versioned control plane, so the link layer's lookups
+// and liveness checks all route through the shard map. The returned
 // controller lets chaos schedules bump the epoch mid-negotiation.
 func newShardedHarness(t *testing.T, users ...string) (*harness, *controlplane.Controller) {
 	t.Helper()
 	const shards = 4
-	net := sim.New(simConfig(t))
+	net := sim.New(framed)
 	clk := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
 	list := make([]controlplane.Shard, shards)
 	servers := make([]*directory.Server, shards)

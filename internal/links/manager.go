@@ -507,11 +507,11 @@ func (m *Manager) DeleteLink(ctx context.Context, id string, visited []string) (
 		err := m.eng.Invoke(ctx, ServiceFor(u), "DeleteLink", wire.Args{
 			"id": id, "visited": visited,
 		}, nil)
-		if err != nil && wire.CodeOf(err) == wire.CodeUnavailable {
-			// The participant's device is off; leave a tombstone so
-			// the periodic sweep retries once it returns.
-			m.recordPendingDelete(id, u)
-			continue
+		if transientErr(err) {
+			// The participant's device is off or slow; the local row
+			// is already gone, so leave a tombstone and let the
+			// periodic sweep retry once it answers.
+			err = m.recordPendingDelete(id, u)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("links: cascade delete %s at %s: %w", id, u, err)
@@ -520,13 +520,16 @@ func (m *Manager) DeleteLink(ctx context.Context, id string, visited []string) (
 	return promoted, firstErr
 }
 
-// recordPendingDelete remembers an undeliverable cascade deletion.
-func (m *Manager) recordPendingDelete(id, user string) {
+// recordPendingDelete remembers an undeliverable cascade deletion. An
+// existing tombstone for the pair is success. Any other failure, a
+// durability ack included, is returned: a tombstone that is missing or
+// not durable can leave the participant's row behind for good.
+func (m *Manager) recordPendingDelete(id, user string) error {
 	err := m.pendingT.Insert(store.Row{"id": id, "user": user})
 	if err != nil && !errors.Is(err, store.ErrDupKey) {
-		// A full pending table is diagnosable via PendingDeletes.
-		return
+		return fmt.Errorf("record tombstone: %w", err)
 	}
+	return nil
 }
 
 // PendingDeletes lists tombstoned (link id, user) pairs, sorted.
@@ -546,8 +549,8 @@ func (m *Manager) PendingDeletes() [][2]string {
 }
 
 // RetryPendingDeletes re-issues tombstoned cascade deletions; called
-// by the same periodic schedule as the expiry sweep. Still-unreachable
-// participants stay tombstoned.
+// by the same periodic schedule as the expiry sweep. Participants that
+// are still unreachable or slow stay tombstoned.
 func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
 	done := 0
 	for _, pd := range m.PendingDeletes() {
@@ -555,7 +558,7 @@ func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
 		err := m.eng.Invoke(ctx, ServiceFor(user), "DeleteLink", wire.Args{
 			"id": id, "visited": []string{m.self},
 		}, nil)
-		if err != nil && wire.CodeOf(err) == wire.CodeUnavailable {
+		if transientErr(err) {
 			continue
 		}
 		// Success or a permanent error (e.g. the row is already

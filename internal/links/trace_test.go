@@ -8,16 +8,18 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/links"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
 // newTracedHarness builds a sim deployment where every node records
 // spans into one collector — the in-process stand-in for a tracing
-// backend — at the given head-sampling rate.
-func newTracedHarness(t *testing.T, col *trace.Collector, rate float64, users ...string) *harness {
+// backend — at the given head-sampling rate, over a sim network
+// configured by cfg.
+func newTracedHarness(t *testing.T, cfg sim.Config, col *trace.Collector, rate float64, users ...string) *harness {
 	t.Helper()
-	h := newHarness(t)
+	h := newHarnessOn(t, cfg)
 	for _, u := range users {
 		h.addNode(u, core.WithTracer(col.Tracer(u, trace.WithSampleRate(rate))))
 	}
@@ -57,7 +59,7 @@ func findTree(trees []*trace.Tree, rootName string) *trace.Tree {
 // that target's rpc.server.
 func TestGroupInvokeStitchedTrace(t *testing.T) {
 	col := trace.NewCollector()
-	h := newTracedHarness(t, col, 1.0, "a", "x", "y")
+	h := newTracedHarness(t, sim.Config{}, col, 1.0, "a", "x", "y")
 	ctx := context.Background()
 
 	results := h.nodes["a"].Engine.GroupInvoke(ctx,
@@ -115,7 +117,7 @@ func TestGroupInvokeStitchedTrace(t *testing.T) {
 // redrive, stitched into one renderable tree.
 func TestInDoubtNegotiationTraceRetained(t *testing.T) {
 	col := trace.NewCollector()
-	h := newTracedHarness(t, col, 0, "a", "x", "y")
+	h := newTracedHarness(t, framed, col, 0, "a", "x", "y")
 	ctx := context.Background()
 	tun := links.Tuning{RetryBase: 50 * time.Millisecond, PresumeAbortAfter: time.Hour}
 	for _, n := range h.nodes {

@@ -475,6 +475,14 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 		t.Fatalf("pre-expiry call: %+v", resp)
 	}
 
+	// The primary loses contact with the directory, so the renewals
+	// its background loop fires as the clock moves fail and the lease
+	// lapses; otherwise a renewal could land first and keep the rival
+	// below from taking the lease.
+	dirAddrs := []string{"cp", "dir0", "dir1", "dir2", "dir3"}
+	for _, addr := range dirAddrs {
+		fx.net.PartitionOneWay("x", addr)
+	}
 	fx.clk.Advance(leaseTTL + time.Second)
 	if x.Repl.LeaseValid() {
 		t.Fatal("lease should have lapsed locally")
@@ -492,6 +500,9 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	// fences it for good.
 	if _, err := fx.dirClient().RenewLease(ctx, "x", "rival", leaseTTL, nil); err != nil {
 		t.Fatal(err)
+	}
+	for _, addr := range dirAddrs {
+		fx.net.Heal("x", addr)
 	}
 	if err := x.Repl.Renew(ctx); !errors.Is(err, replication.ErrFenced) {
 		t.Fatalf("renew after rival takeover = %v, want ErrFenced", err)

@@ -44,16 +44,13 @@ type Config struct {
 	// payload bytes in Stats (costs CPU; off by default).
 	CountBytes bool
 	// EncodeFrames, when true, routes every request, response, and
-	// event through a full wire-frame encode→decode round trip with
-	// FrameCodec before delivery. The in-memory transport normally
-	// hands the receiver the sender's pointer; with this on the
-	// receiver sees exactly what a socket peer would see — JSON's
-	// number widening, v3's tagged scalars — so chaos and idempotency
-	// suites can prove protocol semantics under each wire encoding.
+	// event through a full wire-frame encode→decode round trip before
+	// delivery. The in-memory transport normally hands the receiver
+	// the sender's pointer; with this on the receiver sees exactly
+	// what a socket peer would see (v3's tagged scalars: an int
+	// arrives as int64), so chaos and idempotency suites prove
+	// protocol semantics over the real wire encoding.
 	EncodeFrames bool
-	// FrameCodec selects the encoding EncodeFrames uses
-	// (wire.CodecJSON by default).
-	FrameCodec wire.Codec
 	// Clock times latency sleeps and FlapPartition periods; nil = system
 	// clock. The scale harness injects its auto-advancing fake clock so
 	// simulated network delays compress along with every other timer.
@@ -403,10 +400,10 @@ func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*t
 	return resp, nil
 }
 
-// roundTrip encodes env with the configured frame codec and decodes it
-// back, yielding the envelope a real socket peer would have received.
+// roundTrip encodes env as a wire frame and decodes it back, yielding
+// the envelope a real socket peer would have received.
 func (n *Net) roundTrip(env *wire.Envelope) (*wire.Envelope, error) {
-	f, err := wire.EncodeFrameCodec(env, n.cfg.FrameCodec)
+	f, err := wire.EncodeFrame(env)
 	if err != nil {
 		return nil, &wire.RemoteError{Code: wire.CodeInternal, Msg: fmt.Sprintf("sim: encode: %v", err)}
 	}

@@ -255,11 +255,9 @@ func TestTCPCoalescingBatchesFrames(t *testing.T) {
 	}
 	defer ln.Close()
 
-	// NUL bytes JSON-escape to six bytes apiece, so this payload is both
-	// large on the wire (~96KB/frame) and slow to decode in the server's
-	// read loop — the decode stall is what lets the kernel send buffer
-	// fill and writers pile up behind a blocked flush.
-	payload := strings.Repeat("\x00", 16<<10)
+	// 256KB frames: each flush is a long Write that fills the kernel
+	// send buffer, so writers pile up behind it.
+	payload := strings.Repeat("x", 256<<10)
 	const n = 64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

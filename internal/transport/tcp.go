@@ -40,7 +40,6 @@ func DefaultPoolSize() int {
 type TCP struct {
 	poolSize int
 	stats    *metrics.WireStats
-	codec    wire.Codec
 
 	mu     sync.Mutex
 	pools  map[string]*connPool
@@ -66,18 +65,6 @@ func WithWireStats(s *metrics.WireStats) TCPOption {
 	return func(t *TCP) { t.stats = s }
 }
 
-// WithWireCodec selects the frame body encoding this network prefers
-// to send (-wire-codec). The default is wire.CodecJSON. CodecV3 is
-// negotiated per connection and never assumed: a client advertises v3
-// support in request metadata, a v3-configured server answers such a
-// client in v3, and each side switches its own sends to v3 only after
-// it has received a v3 frame (or the advertisement) from the peer.
-// Decoding always auto-detects per frame, so mixed-version fleets and
-// JSON-only peers interoperate unchanged.
-func WithWireCodec(c wire.Codec) TCPOption {
-	return func(t *TCP) { t.codec = c }
-}
-
 // NewTCP returns a ready TCP network.
 func NewTCP(opts ...TCPOption) *TCP {
 	t := &TCP{
@@ -97,7 +84,6 @@ type tcpListener struct {
 	ln      net.Listener
 	handler Handler
 	stats   *metrics.WireStats
-	codec   wire.Codec
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
@@ -110,7 +96,7 @@ func (t *TCP) Listen(addr string, h Handler) (Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	l := &tcpListener{ln: ln, handler: h, stats: t.stats, codec: t.codec, conns: make(map[net.Conn]struct{})}
+	l := &tcpListener{ln: ln, handler: h, stats: t.stats, conns: make(map[net.Conn]struct{})}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -162,21 +148,17 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 		l.mu.Unlock()
 		conn.Close()
 	}()
-	// One pooled-codec frame reader and one coalescing writer per
-	// connection: responses from concurrent handler goroutines batch
-	// into single socket writes.
+	// One frame reader and one coalescing writer per connection:
+	// responses from concurrent handler goroutines batch into single
+	// socket writes.
 	fr := wire.NewFrameReader(conn)
 	cw := newCoalescer(conn, l.stats)
-	// peerV3 records the codec handshake for this connection: it
-	// latches once the client has proven it decodes v3 — either by
-	// sending a v3 frame or by advertising MetaWireCodec — and a
-	// v3-configured listener answers such a client in v3 from then
-	// on. JSON-only clients never trip it and get JSON forever.
-	var peerV3 atomic.Bool
 	var readBytes int64
 	for {
 		env, err := fr.Read()
 		if err != nil {
+			// EOF, or a frame that does not decode: the stream is
+			// out of step, so the connection closes.
 			return
 		}
 		l.stats.RecordRecv(1, int(fr.Bytes-readBytes))
@@ -187,10 +169,6 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 			if req == nil {
 				continue
 			}
-			if l.codec == wire.CodecV3 && !peerV3.Load() &&
-				(fr.LastCodec == wire.CodecV3 || req.Meta.Get(wire.MetaWireCodec) == wire.WireCodecV3) {
-				peerV3.Store(true)
-			}
 			// Each request gets its own goroutine so a slow
 			// handler (e.g. a negotiation holding locks) cannot
 			// stall unrelated traffic on the same connection.
@@ -200,11 +178,7 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 					resp = ErrorResponse(req, wire.CodeInternal, "handler returned no response")
 				}
 				resp.ID = req.ID
-				codec := wire.CodecJSON
-				if peerV3.Load() {
-					codec = wire.CodecV3
-				}
-				_, _ = writeEnvelope(cw, &wire.Envelope{Kind: wire.KindResponse, Response: resp}, codec)
+				_, _ = writeEnvelope(cw, &wire.Envelope{Kind: wire.KindResponse, Response: resp})
 			}()
 		case wire.KindEvent:
 			if env.Event != nil {
@@ -215,11 +189,11 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 	}
 }
 
-// writeEnvelope encodes env with the pooled codec and hands it to the
-// connection's coalescing writer as one contiguous frame. flushed is
+// writeEnvelope encodes env into a pooled frame and hands it to the
+// connection's coalescing writer as one contiguous write. flushed is
 // the coalescer's leader batch size (see coalescer.write).
-func writeEnvelope(cw *coalescer, env *wire.Envelope, codec wire.Codec) (flushed int, err error) {
-	f, err := wire.EncodeFrameCodec(env, codec)
+func writeEnvelope(cw *coalescer, env *wire.Envelope) (flushed int, err error) {
+	f, err := wire.EncodeFrame(env)
 	if err != nil {
 		return 0, err
 	}
@@ -244,12 +218,6 @@ type tcpClientConn struct {
 	conn  net.Conn
 	w     *coalescer
 	stats *metrics.WireStats
-	codec wire.Codec
-	// peerV3 latches when the server sends this connection a v3
-	// frame — proof it runs a v3-capable stack — after which a
-	// v3-configured client encodes its own sends in v3. Until then
-	// requests go out as JSON carrying the MetaWireCodec advert.
-	peerV3 atomic.Bool
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -304,7 +272,6 @@ func (t *TCP) getConn(addr string) (*tcpClientConn, error) {
 		conn:    nc,
 		w:       newCoalescer(nc, t.stats),
 		stats:   t.stats,
-		codec:   t.codec,
 		pending: make(map[uint64]chan *Response),
 	}
 
@@ -362,9 +329,6 @@ func (c *tcpClientConn) readLoop() {
 		}
 		c.stats.RecordRecv(1, int(fr.Bytes-readBytes))
 		readBytes = fr.Bytes
-		if fr.LastCodec == wire.CodecV3 {
-			c.peerV3.Store(true)
-		}
 		if env.Kind != wire.KindResponse || env.Response == nil {
 			continue
 		}
@@ -414,20 +378,7 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 
 	r := *req
 	r.ID = id
-	codec := wire.CodecJSON
-	if c.codec == wire.CodecV3 {
-		if c.peerV3.Load() {
-			codec = wire.CodecV3
-		} else {
-			// Not yet negotiated: send JSON but advertise that we
-			// decode v3. A v3-configured server answers in v3, which
-			// flips peerV3 for the rest of this connection; a
-			// JSON-only server ignores the key and nothing changes.
-			r.Meta = r.Meta.Clone()
-			r.Meta[wire.MetaWireCodec] = wire.WireCodecV3
-		}
-	}
-	flushed, err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindRequest, Request: &r}, codec)
+	flushed, err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindRequest, Request: &r})
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
@@ -475,11 +426,7 @@ func (c *tcpClientConn) send(ev *Event) error {
 		return ErrUnreachable
 	}
 	c.mu.Unlock()
-	codec := wire.CodecJSON
-	if c.codec == wire.CodecV3 && c.peerV3.Load() {
-		codec = wire.CodecV3
-	}
-	_, err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindEvent, Event: ev}, codec)
+	_, err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindEvent, Event: ev})
 	if err != nil {
 		c.fail()
 		return fmt.Errorf("%w: %v", ErrUnreachable, err)

@@ -2,7 +2,11 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,13 +16,15 @@ import (
 )
 
 // echoHandler answers every request with its own args echoed back and
-// records events.
+// counts requests and events.
 type echoHandler struct {
-	events atomic.Int64
-	delay  time.Duration
+	requests atomic.Int64
+	events   atomic.Int64
+	delay    time.Duration
 }
 
 func (h *echoHandler) HandleRequest(ctx context.Context, req *Request) *Response {
+	h.requests.Add(1)
 	if h.delay > 0 {
 		time.Sleep(h.delay)
 	}
@@ -255,5 +261,69 @@ func TestTCPMetadataRoundTrip(t *testing.T) {
 	}
 	if resp.Meta.Get(wire.MetaRequestID) != "andy-9" {
 		t.Fatalf("response metadata = %v", resp.Meta)
+	}
+}
+
+// jsonFrame is env as a length-prefixed JSON body: a frame this
+// transport does not speak.
+func jsonFrame(env *wire.Envelope) []byte {
+	body, _ := json.Marshal(env)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// TestTCPRejectsJSONFrames: a frame whose body is JSON instead of the
+// binary envelope closes the connection. The listener never calls its
+// handler, and a client whose peer answers in JSON gets ErrUnreachable
+// instead of waiting for a response it cannot decode.
+func TestTCPRejectsJSONFrames(t *testing.T) {
+	h := &echoHandler{}
+	_, addr := newTCPPair(t, h)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := &wire.Envelope{Kind: wire.KindRequest, Request: &wire.Request{ID: 1, Service: "echo", Method: "ping"}}
+	if _, err := conn.Write(jsonFrame(req)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if n, err := conn.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("listener kept the connection open after a JSON frame: n=%d err=%v", n, err)
+	}
+	if n := h.requests.Load(); n != 0 {
+		t.Fatalf("handler called %d times for a JSON frame", n)
+	}
+
+	// A peer that answers every request in JSON.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				env, err := wire.NewFrameReader(c).Read()
+				if err != nil {
+					return
+				}
+				c.Write(jsonFrame(&wire.Envelope{Kind: wire.KindResponse, Response: &wire.Response{ID: env.Request.ID, OK: true}}))
+				io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+	client := NewTCP()
+	defer client.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := client.Call(ctx, ln.Addr().String(), &Request{Service: "echo", Method: "ping"}); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("call answered in JSON: err = %v, want ErrUnreachable", err)
 	}
 }

@@ -20,27 +20,70 @@ func traceMeta(i int) wire.Metadata {
 	}
 }
 
+// metaBaggage is a metadata key whose value is JSON text. Its leading
+// '{' is the byte a listener rejects as a frame body, so it checks that
+// JSON inside a v3 body is carried as opaque bytes.
+const metaBaggage = "x-baggage"
+
+// traceMetaCase is one shape of request the trace context must survive.
+type traceMetaCase struct {
+	name string
+	// meta builds call i's metadata; every key in it must echo back.
+	meta func(i int) wire.Metadata
+	// args rides along in the same frame.
+	args func(i int) wire.Args
+}
+
+// traceMetaCases covers the two value paths of the v3 body: "v3" sends
+// only the codec's native tags, "json" adds JSON-text metadata and an
+// argument that takes v3's embedded-JSON fallback tag.
+var traceMetaCases = []traceMetaCase{
+	{
+		name: "v3",
+		meta: traceMeta,
+		args: func(i int) wire.Args { return nil },
+	},
+	{
+		name: "json",
+		meta: func(i int) wire.Metadata {
+			md := traceMeta(i)
+			md[metaBaggage] = fmt.Sprintf(`{"tenant":"andy","call":%d}`, i)
+			return md
+		},
+		args: func(i int) wire.Args {
+			return wire.Args{"slots": []int{i, i + 1, i + 2}}
+		},
+	},
+}
+
+// checkTraceMeta asserts every key of want came back in resp unchanged.
+func checkTraceMeta(i int, resp *Response, want wire.Metadata) error {
+	var seen wire.Metadata
+	if err := wire.Unmarshal(resp.Result, &seen); err != nil {
+		return err
+	}
+	for key, v := range want {
+		if seen.Get(key) != v {
+			return fmt.Errorf("call %d: %s = %q, want %q", i, key, seen.Get(key), v)
+		}
+	}
+	return nil
+}
+
 // TestTraceMetadataSurvivesCoalescedFrames hammers one TCP connection
 // with concurrent calls — the path where the write coalescer batches
 // many frames into one syscall — and asserts every request's trace
 // context arrives byte-identical, never smeared across the frames that
 // shared a flush.
 func TestTraceMetadataSurvivesCoalescedFrames(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecV3} {
-		t.Run(codec.String(), func(t *testing.T) { testTraceMetaCoalesced(t, codec) })
+	for _, tc := range traceMetaCases {
+		t.Run(tc.name, func(t *testing.T) { testTraceMetaCoalesced(t, tc) })
 	}
 }
 
-func testTraceMetaCoalesced(t *testing.T, codec wire.Codec) {
-	net, addr := newTCPPairCodec(t, metaHandler{}, codec)
+func testTraceMetaCoalesced(t *testing.T, tc traceMetaCase) {
+	net, addr := newTCPPair(t, metaHandler{})
 	ctx := context.Background()
-
-	// With v3 configured, the first call negotiates the upgrade so the
-	// concurrent storm below exercises v3-encoded coalesced frames,
-	// not the JSON advertisement path.
-	if _, err := net.Call(ctx, addr, &Request{Service: "echo", Method: "meta", Meta: traceMeta(999)}); err != nil {
-		t.Fatal(err)
-	}
 
 	const n = 32
 	var wg sync.WaitGroup
@@ -49,25 +92,15 @@ func testTraceMetaCoalesced(t *testing.T, codec wire.Codec) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			md := traceMeta(i)
+			md := tc.meta(i)
 			resp, err := net.Call(ctx, addr, &Request{
-				Service: "echo", Method: "meta", Meta: md.Clone(),
+				Service: "echo", Method: "meta", Args: tc.args(i), Meta: md.Clone(),
 			})
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			var seen wire.Metadata
-			if err := wire.Unmarshal(resp.Result, &seen); err != nil {
-				errs[i] = err
-				return
-			}
-			for _, key := range []string{trace.MetaTraceID, trace.MetaSpanID, trace.MetaParentSpanID, trace.MetaSampled} {
-				if seen.Get(key) != md.Get(key) {
-					errs[i] = fmt.Errorf("call %d: %s = %q, want %q", i, key, seen.Get(key), md.Get(key))
-					return
-				}
-			}
+			errs[i] = checkTraceMeta(i, resp, md)
 		}(i)
 	}
 	wg.Wait()
@@ -82,14 +115,14 @@ func testTraceMetaCoalesced(t *testing.T, codec wire.Codec) {
 // client connection dies, then asserts the transparent reconnect path
 // carries the trace context byte-identically too.
 func TestTraceMetadataSurvivesReconnect(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecV3} {
-		t.Run(codec.String(), func(t *testing.T) { testTraceMetaReconnect(t, codec) })
+	for _, tc := range traceMetaCases {
+		t.Run(tc.name, func(t *testing.T) { testTraceMetaReconnect(t, tc) })
 	}
 }
 
-func testTraceMetaReconnect(t *testing.T, codec wire.Codec) {
+func testTraceMetaReconnect(t *testing.T, tc traceMetaCase) {
 	h := metaHandler{}
-	net := NewTCP(WithWireCodec(codec))
+	net := NewTCP()
 	defer net.Close()
 	ln, err := net.Listen("127.0.0.1:0", h)
 	if err != nil {
@@ -99,21 +132,17 @@ func testTraceMetaReconnect(t *testing.T, codec wire.Codec) {
 
 	check := func(i int) {
 		t.Helper()
-		md := traceMeta(i)
+		md := tc.meta(i)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		resp, err := net.Call(ctx, addr, &Request{Service: "echo", Method: "meta", Meta: md.Clone()})
+		resp, err := net.Call(ctx, addr, &Request{
+			Service: "echo", Method: "meta", Args: tc.args(i), Meta: md.Clone(),
+		})
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		var seen wire.Metadata
-		if err := wire.Unmarshal(resp.Result, &seen); err != nil {
+		if err := checkTraceMeta(i, resp, md); err != nil {
 			t.Fatal(err)
-		}
-		for _, key := range []string{trace.MetaTraceID, trace.MetaSpanID, trace.MetaParentSpanID, trace.MetaSampled} {
-			if seen.Get(key) != md.Get(key) {
-				t.Fatalf("call %d: %s = %q, want %q", i, key, seen.Get(key), md.Get(key))
-			}
 		}
 	}
 

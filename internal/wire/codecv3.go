@@ -8,59 +8,18 @@ import (
 	"math"
 )
 
-// Wire codec v3 (see DESIGN.md §10): a length-delimited binary encoding
-// for the hot envelope types. The frame layout is unchanged — 4-byte
-// big-endian length prefix — but the body starts with the magic byte
-// 0xB3 instead of '{', so a FrameReader distinguishes v3 and JSON
-// bodies per frame with no out-of-band state. JSON remains the wire
-// default and the permanent fallback: every decoder accepts both, and
-// a sender only emits v3 after the peer has shown it can decode it
-// (see internal/transport codec negotiation).
+// Wire codec v3 (see DESIGN.md §10): the length-delimited binary
+// encoding of every frame body. A frame is a 4-byte big-endian length
+// prefix, then a body that starts with the magic byte 0xB3 and a kind
+// tag. A body without the magic byte (a JSON object starts with '{')
+// is rejected with ErrBadV3Frame.
 //
 // Values that the tagged Args encoding cannot represent natively fall
-// back to an embedded JSON blob, so v3 is semantically lossless with
-// respect to the JSON codec for anything the JSON codec can carry.
+// back to an embedded JSON blob, so v3 carries anything encoding/json
+// can carry.
 
-// magicV3 is the first body byte of a v3-encoded frame. A JSON body
-// always starts with '{' (0x7B), so the two are unambiguous.
+// magicV3 is the first body byte of every frame.
 const magicV3 = 0xB3
-
-// Codec selects the frame body encoding a sender uses.
-type Codec uint8
-
-// Codecs.
-const (
-	CodecJSON Codec = iota // JSON body — wire default, universal fallback
-	CodecV3                // binary v3 body — negotiated per connection
-)
-
-// String returns the flag-friendly codec name.
-func (c Codec) String() string {
-	if c == CodecV3 {
-		return "v3"
-	}
-	return "json"
-}
-
-// ParseCodec parses a -wire-codec flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "json":
-		return CodecJSON, nil
-	case "v3":
-		return CodecV3, nil
-	}
-	return CodecJSON, fmt.Errorf("wire: unknown codec %q (want json or v3)", s)
-}
-
-// MetaWireCodec is the metadata key a client stamps on requests to
-// advertise that it decodes v3 frames. A v3-capable server that sees
-// the advertisement may answer in v3 immediately; the binary response
-// itself is the client's evidence that the server speaks v3.
-const MetaWireCodec = "wire-codec"
-
-// WireCodecV3 is the MetaWireCodec value advertising v3 support.
-const WireCodecV3 = "v3"
 
 // ErrBadV3Frame reports a structurally invalid v3 body.
 var ErrBadV3Frame = errors.New("wire: malformed v3 frame")
@@ -86,21 +45,11 @@ const (
 	v3ValJSON    = 9 // embedded JSON blob (fallback for everything else)
 )
 
-// EncodeFrameCodec encodes env with the requested codec into a pooled
-// FrameBuffer. CodecJSON delegates to EncodeFrame; the two produce
-// frames any FrameReader decodes interchangeably.
-func EncodeFrameCodec(env *Envelope, c Codec) (*FrameBuffer, error) {
-	if c == CodecV3 {
-		return EncodeFrameV3(env)
-	}
-	return EncodeFrame(env)
-}
-
-// EncodeFrameV3 encodes env as a v3 binary frame: 4-byte length prefix
-// then the 0xB3-tagged body, appended into one pooled buffer so a warm
-// pool encodes a frame with zero intermediate allocations and the
-// transport issues a single Write.
-func EncodeFrameV3(env *Envelope) (*FrameBuffer, error) {
+// EncodeFrame encodes env into a pooled FrameBuffer: the 4-byte
+// length prefix then the 0xB3-tagged body, appended into one buffer so
+// a warm pool encodes a frame with zero intermediate allocations and
+// the transport issues a single Write.
+func EncodeFrame(env *Envelope) (*FrameBuffer, error) {
 	f := framePool.Get().(*FrameBuffer)
 	b := append(f.buf[:0], 0, 0, 0, 0) // length backpatched below
 	var err error
@@ -198,8 +147,8 @@ func appendV3Args(b []byte, a map[string]any) ([]byte, error) {
 // appendV3Value encodes one Args value with a type tag. The calendar
 // services overwhelmingly send small scalar maps (entity names,
 // actions, ints, nested string maps), so those get dedicated tags; any
-// other type round-trips through an embedded JSON blob with identical
-// decode semantics to the JSON codec.
+// other type round-trips through an embedded JSON blob and decodes as
+// encoding/json would decode it.
 func appendV3Value(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -246,7 +195,7 @@ func appendV3Value(b []byte, v any) ([]byte, error) {
 		b = append(b, v3ValMap)
 		return appendV3Args(b, x)
 	case json.RawMessage:
-		// Already JSON: embed verbatim, decode matches the JSON codec.
+		// Already JSON: embed verbatim.
 		b = append(b, v3ValJSON)
 		return appendV3Bytes(b, x), nil
 	default:

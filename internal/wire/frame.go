@@ -3,29 +3,25 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 )
 
-// Frame path v2 (see DESIGN.md §wire, "frame path v2"): the v1 codec
-// paid a full json.Marshal allocation per frame, two conn.Write calls
-// (header, then body), and a fresh body buffer per read. V2 keeps the
-// wire format byte-identical — 4-byte big-endian length, JSON body —
-// but encodes prefix and body into one pooled buffer so a frame is a
-// single Write, and reads through a per-connection FrameReader that
-// reuses its scratch buffer. Transports coalesce the encoded frames
-// of concurrent callers into one syscall (internal/transport).
+// The frame path (see DESIGN.md §3, "Frame path"): EncodeFrame
+// appends the length prefix and the binary body into one pooled buffer
+// so a frame is a single Write, and each connection reads through a
+// FrameReader that reuses its scratch buffer. Transports coalesce the
+// encoded frames of concurrent callers into one syscall
+// (internal/transport).
 
 // poolBufCap caps the capacity of buffers returned to the pools so a
 // single huge frame (a bulk snapshot, a big group result) does not pin
 // megabytes inside the pool forever.
 const poolBufCap = 64 << 10
 
-// FrameBuffer is a pooled, encoded frame: length prefix and JSON body
-// in one contiguous byte slice, ready for a single Write. Obtain with
+// FrameBuffer is a pooled, encoded frame: length prefix and body in
+// one contiguous byte slice, ready for a single Write. Obtain with
 // EncodeFrame, hand Bytes to the socket, then Release.
 type FrameBuffer struct {
 	buf []byte
@@ -51,40 +47,9 @@ func (f *FrameBuffer) Release() {
 
 var framePool = sync.Pool{New: func() any { return new(FrameBuffer) }}
 
-// frameWriter adapts a FrameBuffer to io.Writer for json.Encoder.
-type frameWriter FrameBuffer
-
-func (w *frameWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// EncodeFrame marshals env into a pooled FrameBuffer: the 4-byte
-// length prefix followed by the JSON body, as one contiguous slice.
-// The JSON encoder writes straight into the pooled buffer, so a warm
-// pool encodes without heap allocation beyond what encoding/json
-// itself needs.
-func EncodeFrame(env *Envelope) (*FrameBuffer, error) {
-	f := framePool.Get().(*FrameBuffer)
-	f.buf = append(f.buf[:0], 0, 0, 0, 0) // length backpatched below
-	enc := json.NewEncoder((*frameWriter)(f))
-	if err := enc.Encode(env); err != nil {
-		f.Release()
-		return nil, fmt.Errorf("wire: marshal: %w", err)
-	}
-	n := len(f.buf) - 4
-	if n > MaxFrameSize {
-		f.Release()
-		return nil, ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(f.buf[:4], uint32(n))
-	return f, nil
-}
-
 // FrameReader decodes length-prefixed frames from one connection,
-// reusing an internal scratch buffer between reads (v1 ReadFrame
-// allocated a fresh body buffer per frame). Bind one FrameReader per
-// connection; it is not safe for concurrent use.
+// reusing an internal scratch buffer between reads. Bind one
+// FrameReader per connection; it is not safe for concurrent use.
 type FrameReader struct {
 	r       *bufio.Reader
 	scratch []byte
@@ -93,11 +58,6 @@ type FrameReader struct {
 	// transport layer feeds them into metrics.
 	Frames int64
 	Bytes  int64
-	// LastCodec reports the body encoding of the most recent
-	// successful Read. A received CodecV3 frame is the transport
-	// layer's evidence that the peer speaks v3 (see codec
-	// negotiation in internal/transport).
-	LastCodec Codec
 }
 
 // NewFrameReader creates a FrameReader over r. If r is already a
@@ -111,8 +71,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 }
 
 // Read decodes the next frame. The returned Envelope does not alias
-// the scratch buffer (JSON decoding copies what it keeps), so it
-// remains valid across subsequent Reads.
+// the scratch buffer (the decoder copies what it keeps), so it remains
+// valid across subsequent Reads. A body that is not a well-formed
+// binary envelope fails with ErrBadV3Frame; the stream is then out of
+// step and the caller should drop the connection.
 func (fr *FrameReader) Read() (*Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
@@ -140,22 +102,9 @@ func (fr *FrameReader) Read() (*Envelope, error) {
 		// copies what it needs.
 		fr.scratch = make([]byte, poolBufCap)
 	}
-	var env *Envelope
-	if n > 0 && body[0] == magicV3 {
-		// v3 binary body — auto-detected per frame, no connection
-		// state needed (a JSON body always starts with '{').
-		var err error
-		env, err = decodeV3(body)
-		if err != nil {
-			return nil, err
-		}
-		fr.LastCodec = CodecV3
-	} else {
-		fr.LastCodec = CodecJSON
-		env = new(Envelope)
-		if err := json.Unmarshal(body, env); err != nil {
-			return nil, fmt.Errorf("wire: unmarshal: %w", err)
-		}
+	env, err := decodeV3(body)
+	if err != nil {
+		return nil, err
 	}
 	fr.Frames++
 	fr.Bytes += int64(4 + n)

@@ -17,39 +17,22 @@ func testEnvelope(i int) *Envelope {
 	}}
 }
 
-func TestEncodeFrameMatchesWriteFrame(t *testing.T) {
-	env := testEnvelope(7)
+// appendFrame encodes env and appends the whole frame to buf.
+func appendFrame(t testing.TB, buf *bytes.Buffer, env *Envelope) {
+	t.Helper()
 	f, err := EncodeFrame(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Release()
-
-	b := f.Bytes()
-	if len(b) < 4 {
-		t.Fatalf("frame too short: %d", len(b))
-	}
-	n := binary.BigEndian.Uint32(b[:4])
-	if int(n) != len(b)-4 {
-		t.Fatalf("length prefix %d, body %d", n, len(b)-4)
-	}
-	// The body must decode through the v1 reader: same wire format.
-	got, err := ReadFrame(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != KindRequest || got.Request.Service != "cal.phil" || got.Request.Args.Int("hour") != 7 {
-		t.Fatalf("round trip mismatch: %+v", got.Request)
-	}
+	buf.Write(f.Bytes())
+	f.Release()
 }
 
 func TestFrameReaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := WriteFrame(&buf, testEnvelope(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendFrame(t, &buf, testEnvelope(i))
 	}
 	fr := NewFrameReader(&buf)
 	for i := 0; i < n; i++ {
@@ -75,9 +58,7 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 func TestFrameReaderEnvelopeSurvivesNextRead(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 2; i++ {
-		if err := WriteFrame(&buf, testEnvelope(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendFrame(t, &buf, testEnvelope(i))
 	}
 	fr := NewFrameReader(&buf)
 	first, err := fr.Read()
@@ -114,13 +95,19 @@ func TestFrameReaderShortBody(t *testing.T) {
 }
 
 func TestFrameBufferReleaseReuse(t *testing.T) {
-	f1, err := EncodeFrame(testEnvelope(1))
+	// One key per map: map iteration order would otherwise make two
+	// encodings of the same envelope differ byte-wise.
+	env := &Envelope{Kind: KindRequest, Request: &Request{
+		ID: 1, Service: "cal.phil", Method: "ListMeetings",
+		Args: Args{"hour": 1}, Meta: Metadata{MetaHops: "1"},
+	}}
+	f1, err := EncodeFrame(env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b1 := append([]byte(nil), f1.Bytes()...)
 	f1.Release()
-	f2, err := EncodeFrame(testEnvelope(1))
+	f2, err := EncodeFrame(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +131,7 @@ func BenchmarkEncodeFrame(b *testing.B) {
 
 func BenchmarkFrameReader(b *testing.B) {
 	var one bytes.Buffer
-	if err := WriteFrame(&one, testEnvelope(1)); err != nil {
-		b.Fatal(err)
-	}
+	appendFrame(b, &one, testEnvelope(1))
 	frame := one.Bytes()
 	big := bytes.Repeat(frame, 1000)
 	b.ReportAllocs()

@@ -4,17 +4,16 @@
 //
 // The paper's prototype used "TCP Sockets for small foot-print and
 // maximum flexibility" (§3.1). We keep the same spirit: a frame is a
-// 4-byte big-endian length followed by a JSON-encoded message. JSON is
-// the only stdlib codec that is self-describing enough for the
-// heterogeneous argument maps SyD services exchange.
+// 4-byte big-endian length followed by one envelope in the binary v3
+// encoding (codecv3.go). JSON stays where a person reads the bytes or
+// the format embeds them: Response.Result is a json.RawMessage, and v3
+// carries argument values it has no tag for as embedded JSON.
 package wire
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // MaxFrameSize bounds a single frame to keep a malicious or corrupted
@@ -146,47 +145,6 @@ func CodeOf(err error) ErrCode {
 		return re.Code
 	}
 	return CodeInternal
-}
-
-// WriteFrame encodes env as JSON and writes a length-prefixed frame.
-// The prefix and body go out in a single Write (one syscall on a raw
-// socket) via a pooled encode buffer; transports that coalesce
-// concurrent writers use EncodeFrame directly.
-func WriteFrame(w io.Writer, env *Envelope) error {
-	f, err := EncodeFrame(env)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(f.Bytes())
-	f.Release()
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame and decodes it.
-func ReadFrame(r io.Reader) (*Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ErrShortFrame
-		}
-		return nil, err
-	}
-	if n > 0 && body[0] == magicV3 {
-		return decodeV3(body)
-	}
-	env := new(Envelope)
-	if err := json.Unmarshal(body, env); err != nil {
-		return nil, fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	return env, nil
 }
 
 // Marshal encodes v into a json.RawMessage for a Response result.

@@ -24,10 +24,8 @@ func TestRoundTripRequest(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, env); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
+	appendFrame(t, &buf, env)
+	got, err := NewFrameReader(&buf).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +44,8 @@ func TestRoundTripResponse(t *testing.T) {
 		Response: &Response{ID: 42, OK: true, Result: res},
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, env); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
+	appendFrame(t, &buf, env)
+	got, err := NewFrameReader(&buf).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +64,8 @@ func TestRoundTripEvent(t *testing.T) {
 		Event: &Event{Name: "link.expired", Source: "phil", Args: Args{"link": "L1"}},
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, env); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
+	appendFrame(t, &buf, env)
+	got, err := NewFrameReader(&buf).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +77,11 @@ func TestRoundTripEvent(t *testing.T) {
 func TestMultipleFramesSequential(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 10; i++ {
-		env := &Envelope{Kind: KindRequest, Request: &Request{ID: uint64(i), Service: "s", Method: "m"}}
-		if err := WriteFrame(&buf, env); err != nil {
-			t.Fatal(err)
-		}
+		appendFrame(t, &buf, &Envelope{Kind: KindRequest, Request: &Request{ID: uint64(i), Service: "s", Method: "m"}})
 	}
+	fr := NewFrameReader(&buf)
 	for i := 0; i < 10; i++ {
-		env, err := ReadFrame(&buf)
+		env, err := fr.Read()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -97,7 +89,7 @@ func TestMultipleFramesSequential(t *testing.T) {
 			t.Fatalf("frame %d has ID %d", i, env.Request.ID)
 		}
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
+	if _, err := fr.Read(); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected EOF after last frame, got %v", err)
 	}
 }
@@ -105,7 +97,7 @@ func TestMultipleFramesSequential(t *testing.T) {
 func TestReadFrameTooLarge(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	_, err := ReadFrame(bytes.NewReader(hdr[:]))
+	_, err := NewFrameReader(bytes.NewReader(hdr[:])).Read()
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -113,26 +105,26 @@ func TestReadFrameTooLarge(t *testing.T) {
 
 func TestReadFrameTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
-	env := &Envelope{Kind: KindRequest, Request: &Request{ID: 1, Service: "s", Method: "m"}}
-	if err := WriteFrame(&buf, env); err != nil {
-		t.Fatal(err)
-	}
+	appendFrame(t, &buf, &Envelope{Kind: KindRequest, Request: &Request{ID: 1, Service: "s", Method: "m"}})
 	trunc := buf.Bytes()[:buf.Len()-3]
-	_, err := ReadFrame(bytes.NewReader(trunc))
+	_, err := NewFrameReader(bytes.NewReader(trunc)).Read()
 	if !errors.Is(err, ErrShortFrame) {
 		t.Fatalf("err = %v, want ErrShortFrame", err)
 	}
 }
 
+// TestReadFrameGarbageJSON: a body without the v3 magic byte — garbage,
+// or a well-formed JSON envelope — is a decode error, not a frame.
 func TestReadFrameGarbageJSON(t *testing.T) {
-	body := []byte("{not json")
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	buf.Write(hdr[:])
-	buf.Write(body)
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("expected decode error")
+	for _, body := range []string{"{not json", `{"kind":"request","request":{"id":1,"service":"s","method":"m"}}`, ""} {
+		var buf bytes.Buffer
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+		buf.Write(hdr[:])
+		buf.WriteString(body)
+		if _, err := NewFrameReader(&buf).Read(); !errors.Is(err, ErrBadV3Frame) {
+			t.Fatalf("body %q: err = %v, want ErrBadV3Frame", body, err)
+		}
 	}
 }
 
@@ -227,10 +219,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			ID: id, Service: service, Method: method, Caller: caller,
 		}}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, env); err != nil {
-			return false
-		}
-		got, err := ReadFrame(&buf)
+		appendFrame(t, &buf, env)
+		got, err := NewFrameReader(&buf).Read()
 		if err != nil {
 			return false
 		}
@@ -253,12 +243,15 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	}
 	b.ReportAllocs()
 	var buf bytes.Buffer
+	fr := NewFrameReader(&buf)
 	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := WriteFrame(&buf, env); err != nil {
+		f, err := EncodeFrame(env)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadFrame(&buf); err != nil {
+		buf.Write(f.Bytes())
+		f.Release()
+		if _, err := fr.Read(); err != nil {
 			b.Fatal(err)
 		}
 	}
