@@ -153,9 +153,9 @@ func MicroNegotiationAnd(b *testing.B) {
 
 // MicroNegotiationAndBatched measures the same two-phase
 // negotiation-and as MicroNegotiationAnd, but with all three entities
-// co-located on one remote node — the fleet shape the per-node
-// batching path collapses into a single MarkBatch/CommitBatch RPC pair
-// instead of three Marks and three Commits.
+// co-located on one remote node: one run, so one Mark and one Commit
+// RPC carrying three entries each, where MicroNegotiationAnd makes
+// three of each.
 func MicroNegotiationAndBatched(b *testing.B) {
 	ctx := context.Background()
 	users := workload.Users(2)

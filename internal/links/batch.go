@@ -2,214 +2,252 @@ package links
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
-	"repro/internal/listener"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// Per-node negotiation batching. A Spec whose targets include several
-// entities owned by the same node used to cost one Mark RPC, one
-// Commit (or Abort) RPC, and one journal-redrive Commit per *entity*.
-// The coordinator now groups targets by owning node and sends one
-// MarkBatch / CommitBatch / AbortBatch per node, each carrying
-// per-entity results so every per-entity semantic survives intact:
+// The §4.3 protocol on the wire. The coordinator groups a Spec's
+// targets by owning node and drives each same-node run through one
+// Mark, then one Commit or Abort. Every phase takes a list of entities
+// (a single target is a list of one) and reports an outcome per entry,
+// so every per-entity semantic survives:
 //
-//   - partial failures stay per-entity (each entry carries its own
-//     error and wire code, reconstructed coordinator-side so
-//     transient/definitive classification is unchanged);
-//   - decided-token idempotency is untouched (CommitBatch runs the
-//     same commitLocalToken decision table per entry);
-//   - fault injectors stay per-entity (consulted once per (nid, ref)
-//     during batch assembly, exactly as the per-entity send would);
-//   - mixed fleets keep working: a peer that answers CodeNoMethod
-//     (predates the batch RPCs) gets the per-entity protocol.
+//   - partial failures stay per entry: a failed entry carries its own
+//     wire code, rebuilt coordinator-side into the *wire.RemoteError the
+//     engine surfaces for a failed call, so transient/definitive
+//     classification is the same as for a whole-call failure;
+//   - decided-token idempotency: Commit runs the commitLocalToken
+//     decision table per entry;
+//   - fault injectors are consulted once per (nid, ref), in target
+//     order, before the run is sent;
+//   - a self-owned run executes in process and never touches the wire.
 //
-// Runs of one target, self-owned runs, and managers with batching
-// disabled use the per-entity path unchanged — including its
-// per-target links.Mark / links.Commit / links.Abort spans.
+// Wire shape: entities and tokens travel as parallel []string lists
+// (codec v3's native strings tag). A reply lists only the entries that
+// failed; a Mark reply adds the granted tokens, aligned with the
+// entities.
 
 // errSkippedMark is the And-semantics skip: once any mark fails the
-// constraint is doomed, so later targets are not marked at all. The
-// text matches the historical per-entity path.
-func errSkippedMark() error {
-	return fmt.Errorf("links: skipped after earlier mark failure")
+// constraint is doomed, so later targets are not marked at all.
+var errSkippedMark = &wire.RemoteError{Code: wire.CodeConflict, Msg: "links: skipped after earlier mark failure"}
+
+// entryFailure is one failed entry of a Mark or Commit reply; I indexes
+// the request's entity list.
+type entryFailure struct {
+	I    int          `json:"i"`
+	Code wire.ErrCode `json:"code"`
+	Msg  string       `json:"msg"`
 }
 
-// batchMarkResult is one MarkBatch entry outcome on the wire.
-type batchMarkResult struct {
-	Token string       `json:"token,omitempty"`
-	Error string       `json:"error,omitempty"`
-	Code  wire.ErrCode `json:"code,omitempty"`
+// runReply is the Mark/Commit reply. Tokens (Mark only) align with the
+// request's entities, "" where the entry failed.
+type runReply struct {
+	Tokens []string       `json:"tokens,omitempty"`
+	Failed []entryFailure `json:"failed,omitempty"`
 }
 
-// batchCommitResult is one CommitBatch entry outcome on the wire.
-type batchCommitResult struct {
-	OK    bool         `json:"ok"`
-	Error string       `json:"error,omitempty"`
-	Code  wire.ErrCode `json:"code,omitempty"`
-}
-
-// batchEntry is one CommitBatch/AbortBatch entry on the wire.
-type batchEntry struct {
-	Entity string `json:"entity"`
-	Token  string `json:"token"`
-}
-
-// remoteEntryErr rebuilds the error a per-entity RPC would have
-// surfaced for a failed batch entry: the engine turns every non-OK
-// response into a *wire.RemoteError{Code, Msg}, so reconstructing one
-// keeps transientErr and every caller-side classification identical.
-func remoteEntryErr(code wire.ErrCode, msg string) error {
-	if code == wire.CodeOK || code == "" {
-		code = wire.CodeInternal
+// failuresOf converts per-entry errors to their wire form, the way the
+// listener reports a failed call: a RemoteError keeps its code and bare
+// message, anything else is internal.
+func failuresOf(errs []error) []entryFailure {
+	var out []entryFailure
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		f := entryFailure{I: i, Code: wire.CodeInternal, Msg: err.Error()}
+		var re *wire.RemoteError
+		if errors.As(err, &re) {
+			f.Code, f.Msg = re.Code, re.Msg
+		}
+		out = append(out, f)
 	}
-	return &wire.RemoteError{Code: code, Msg: msg}
+	return out
 }
 
-// SetBatchRPC enables or disables the per-node batch RPCs (enabled by
-// default). Tests use it to pin the per-entity path for equivalence
-// checks; disabling it never changes outcomes, only the RPC count.
-func (m *Manager) SetBatchRPC(on bool) {
-	m.mu.Lock()
-	m.batchOff = !on
-	m.mu.Unlock()
+// entryErrs rebuilds the per-entry errors of a reply from user's
+// method, aligned with n sent entities; nil when no entry failed.
+func entryErrs(failed []entryFailure, n int, user, method string) ([]error, error) {
+	if len(failed) == 0 {
+		return nil, nil
+	}
+	errs := make([]error, n)
+	for _, f := range failed {
+		if f.I < 0 || f.I >= n {
+			return nil, &wire.RemoteError{Code: wire.CodeInternal,
+				Msg: fmt.Sprintf("links: %s reply names entry %d of %d", method, f.I, n)}
+		}
+		code := f.Code
+		if code == wire.CodeOK || code == "" {
+			code = wire.CodeInternal
+		}
+		errs[f.I] = &wire.RemoteError{Code: code, Service: ServiceFor(user), Method: method, Msg: f.Msg}
+	}
+	return errs, nil
 }
 
-func (m *Manager) batchEnabled() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return !m.batchOff
+// firstErr is the error a run's span records.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ---------------------------------------------------------------------
+// Participant side: the per-entry protocol behind the Mark, Commit and
+// Abort handlers (service.go), also run in process for self-owned runs.
+
+// markEntities marks each entity in order (markLocal). With stop set
+// (And) every entry after the first failure is skipped, not marked. A
+// mark granted to a remote coordinator (caller set, nid known) is
+// recorded as pending, with the request's trace identity, so the
+// participant can resolve it if neither Commit nor Abort arrives. errs
+// is nil when every entry was marked.
+func (m *Manager) markEntities(ctx context.Context, entities []string, action string, args wire.Args, nid, caller string, stop bool) (tokens []string, errs []error) {
+	tokens = make([]string, len(entities))
+	for i, entity := range entities {
+		var err error
+		if errs != nil && stop {
+			err = errSkippedMark
+		} else if tokens[i], err = m.markLocal(entity, action, args); err == nil {
+			if nid != "" && caller != "" {
+				p := &pendingMark{
+					Token: tokens[i], Entity: entity, Action: action, Args: args,
+					NID: nid, Coordinator: caller, Created: m.clk.Now(),
+				}
+				// Remember the request's trace so a later resolution
+				// sweep stitches its spans under this Mark.
+				if span := trace.FromContext(ctx); span != nil {
+					p.TraceID, p.SpanID = span.TraceID, span.SpanID
+				}
+				m.notePendingMark(p)
+			}
+			continue
+		}
+		if errs == nil {
+			errs = make([]error, len(entities))
+		}
+		errs[i] = err
+	}
+	return tokens, errs
+}
+
+// commitEntities runs the commitLocalToken decision table for each
+// (entity, token) pair; errs is nil when every entry committed.
+func (m *Manager) commitEntities(ctx context.Context, entities, tokens []string, nid, action string, args wire.Args, caller string) (errs []error) {
+	for i, entity := range entities {
+		if err := m.commitLocalToken(ctx, entity, tokens[i], nid, action, args, caller); err != nil {
+			if errs == nil {
+				errs = make([]error, len(entities))
+			}
+			errs[i] = err
+		}
+	}
+	return errs
 }
 
 // ---------------------------------------------------------------------
 // Coordinator side: phase 1.
 
-// markRun marks one same-node run of targets. stop carries the And
+// markRun marks one same-node run of targets: one Mark RPC, or an in
+// process call when this node owns the run. stop carries the And
 // semantics: after the first failure later entries are skipped, not
-// marked. The per-entity path serves singleton runs, self-owned runs,
-// and peers without the batch RPCs.
+// marked.
 func (m *Manager) markRun(ctx context.Context, nid string, run []EntityRef, action string, args wire.Args, stop bool) []markResult {
-	if len(run) == 1 || run[0].User == m.self || !m.batchEnabled() {
-		return m.markRunSerial(ctx, nid, run, action, args, stop)
+	user := run[0].User
+	ctx, span := trace.Start(ctx, "links.Mark")
+	if span != nil {
+		span.Annotate(trace.String("node", user), trace.Int("targets", len(run)))
 	}
 	out := make([]markResult, len(run))
-	// Consult the fault injector exactly once per (nid, ref), in target
-	// order, before anything is sent — the same observable schedule as
-	// the per-entity path. With stop set, a faulted entry dooms every
-	// later one to the skip error without marking it.
-	clean := make([]int, 0, len(run))
+	entities := make([]string, 0, len(run))
 	failed := false
 	for i, ref := range run {
+		out[i].ref = ref
 		if failed && stop {
-			out[i] = markResult{ref: ref, err: errSkippedMark()}
-			continue
-		}
-		if err := m.markFaultFor(nid, ref); err != nil {
-			out[i] = markResult{ref: ref, err: err}
+			out[i].err = errSkippedMark
+		} else if out[i].err = m.markFaultFor(nid, ref); out[i].err != nil {
 			failed = true
+		} else {
+			entities = append(entities, ref.Entity)
+		}
+	}
+	var tokens []string
+	var errs []error
+	switch {
+	case len(entities) == 0:
+	case user == m.self:
+		tokens, errs = m.markEntities(ctx, entities, action, args, "", "", stop)
+	default:
+		var reply runReply
+		err := m.eng.Invoke(ctx, ServiceFor(user), "Mark", wire.Args{
+			"entities": entities, "action": action, "args": map[string]any(args),
+			"nid": nid, "stop": stop,
+		}, &reply)
+		if err == nil && len(reply.Tokens) != len(entities) {
+			err = &wire.RemoteError{Code: wire.CodeInternal,
+				Msg: fmt.Sprintf("links: Mark returned %d tokens for %d entities", len(reply.Tokens), len(entities))}
+		}
+		if err == nil {
+			errs, err = entryErrs(reply.Failed, len(entities), user, "Mark")
+		}
+		if err != nil {
+			// The call itself failed (unreachable node, timeout): the
+			// first entry carries the error; with stop set the rest are
+			// skips, without it each would have failed the same way.
+			errs = make([]error, len(entities))
+			for j := range errs {
+				if j == 0 || !stop {
+					errs[j] = err
+				} else {
+					errs[j] = errSkippedMark
+				}
+			}
+		} else {
+			tokens = reply.Tokens
+		}
+	}
+	j := 0
+	for i := range out {
+		if out[i].err != nil {
 			continue
 		}
-		clean = append(clean, i)
-	}
-	if len(clean) == 0 {
-		return out
-	}
-	refs := make([]EntityRef, len(clean))
-	for j, i := range clean {
-		refs[j] = run[i]
-	}
-	results, err := m.markBatchRPC(ctx, nid, refs, action, args, stop)
-	if wire.CodeOf(err) == wire.CodeNoMethod {
-		// Old fleet member: nothing executed (the method is unknown), so
-		// the per-entity protocol is safe to drive from scratch.
-		serial := m.markRunSerial(ctx, nid, refs, action, args, stop)
-		for j, i := range clean {
-			out[i] = serial[j]
+		switch {
+		case errs != nil && errs[j] != nil:
+			out[i].err = errs[j]
+		case tokens[j] == "":
+			out[i].err = &wire.RemoteError{Code: wire.CodeInternal, Service: ServiceFor(user), Method: "Mark",
+				Msg: "links: Mark granted an empty token"}
+		default:
+			out[i].token = tokens[j]
 		}
-		return out
+		j++
 	}
-	if err != nil {
-		// The batch itself failed (unreachable node, timeout). Per-entity
-		// semantics: the first unsent entry carries the send error; with
-		// stop set the rest are skips, without it every send would have
-		// failed the same way.
-		for j, i := range clean {
-			if j == 0 || !stop {
-				out[i] = markResult{ref: run[i], err: err}
-			} else {
-				out[i] = markResult{ref: run[i], err: errSkippedMark()}
+	if span != nil {
+		for _, mr := range out {
+			if mr.err != nil {
+				span.SetError(mr.err)
+				break
 			}
 		}
-		return out
-	}
-	for j, i := range clean {
-		r := results[j]
-		if r.Error != "" || r.Token == "" {
-			out[i] = markResult{ref: run[i], err: remoteEntryErr(r.Code, r.Error)}
-			continue
-		}
-		out[i] = markResult{ref: run[i], token: r.Token}
+		span.Finish()
 	}
 	return out
-}
-
-// markRunSerial is the historical per-entity mark loop for one run.
-func (m *Manager) markRunSerial(ctx context.Context, nid string, run []EntityRef, action string, args wire.Args, stop bool) []markResult {
-	out := make([]markResult, 0, len(run))
-	failed := false
-	for _, ref := range run {
-		if failed && stop {
-			out = append(out, markResult{ref: ref, err: errSkippedMark()})
-			continue
-		}
-		tok, err := m.markTarget(ctx, nid, ref, action, args)
-		out = append(out, markResult{ref: ref, token: tok, err: err})
-		if err != nil {
-			failed = true
-		}
-	}
-	return out
-}
-
-// markBatchRPC sends one MarkBatch covering a same-node run and
-// returns the per-entry results (aligned with refs).
-func (m *Manager) markBatchRPC(ctx context.Context, nid string, refs []EntityRef, action string, args wire.Args, stop bool) ([]batchMarkResult, error) {
-	ctx, span := trace.Start(ctx, "links.MarkBatch")
-	if span != nil {
-		span.Annotate(trace.String("node", refs[0].User), trace.Int("targets", len(refs)))
-	}
-	entities := make([]string, len(refs))
-	for i, ref := range refs {
-		entities[i] = ref.Entity
-	}
-	var out struct {
-		Results []batchMarkResult `json:"results"`
-	}
-	err := m.eng.Invoke(ctx, ServiceFor(refs[0].User), "MarkBatch", wire.Args{
-		"entities": entities, "action": action, "args": map[string]any(args),
-		"nid": nid, "stop": stop,
-	}, &out)
-	if err == nil && len(out.Results) != len(entities) {
-		err = &wire.RemoteError{Code: wire.CodeInternal,
-			Msg: fmt.Sprintf("links: MarkBatch returned %d results for %d entities", len(out.Results), len(entities))}
-	}
-	span.FinishErr(err)
-	if err != nil {
-		return nil, err
-	}
-	return out.Results, nil
 }
 
 // ---------------------------------------------------------------------
 // Coordinator side: phase 2.
 
-// commitGrouped runs the commit phase for tgts, one CommitBatch per
-// owning node (per-entity for singleton/self/legacy runs), node groups
-// fanned out concurrently. The returned errors align with tgts, so
-// callers classify exactly as they did with per-entity sends.
+// commitGrouped runs the commit phase for tgts, one run per owning
+// node, node groups fanned out concurrently. The returned errors align
+// with tgts.
 func (m *Manager) commitGrouped(ctx context.Context, nid string, tgts []journalTarget, action string, args wire.Args, qos bool) []error {
 	errs := make([]error, len(tgts))
 	var wg sync.WaitGroup
@@ -221,9 +259,8 @@ func (m *Manager) commitGrouped(ctx context.Context, nid string, tgts []journalT
 			for j, i := range idxs {
 				run[j] = tgts[i]
 			}
-			got := m.commitRun(ctx, nid, run, action, args, qos)
-			for j, i := range idxs {
-				errs[i] = got[j]
+			for j, err := range m.commitRun(ctx, nid, run, action, args, qos) {
+				errs[idxs[j]] = err
 			}
 		}(idxs)
 	}
@@ -231,93 +268,79 @@ func (m *Manager) commitGrouped(ctx context.Context, nid string, tgts []journalT
 	return errs
 }
 
-// commitRun commits one same-node run of marked targets.
+// commitRun commits one same-node run of marked targets: one Commit
+// RPC, or an in process call when this node owns the run. With qos set
+// (the retry sweeper's path) the RPC rides engine.InvokeQoS so one
+// sweep absorbs short transient blips; the inline attempt uses a plain
+// Invoke, since a failure there is journaled, not blocking.
 func (m *Manager) commitRun(ctx context.Context, nid string, run []journalTarget, action string, args wire.Args, qos bool) []error {
-	errs := make([]error, len(run))
-	if len(run) == 1 || run[0].Ref.User == m.self || !m.batchEnabled() {
-		for i, t := range run {
-			errs[i] = m.commitTarget(ctx, nid, t.Ref, t.Token, action, args, qos)
-		}
-		return errs
-	}
-	clean := make([]int, 0, len(run))
-	for i, t := range run {
-		if err := m.commitFaultFor(nid, t.Ref); err != nil {
-			errs[i] = err
-			continue
-		}
-		clean = append(clean, i)
-	}
-	if len(clean) == 0 {
-		return errs
-	}
-	entries := make([]batchEntry, len(clean))
-	for j, i := range clean {
-		entries[j] = batchEntry{Entity: run[i].Ref.Entity, Token: run[i].Token}
-	}
-	results, err := m.commitBatchRPC(ctx, nid, run[clean[0]].Ref.User, entries, action, args, qos)
-	if wire.CodeOf(err) == wire.CodeNoMethod {
-		for _, i := range clean {
-			errs[i] = m.commitTarget(ctx, nid, run[i].Ref, run[i].Token, action, args, qos)
-		}
-		return errs
-	}
-	if err != nil {
-		for _, i := range clean {
-			errs[i] = err
-		}
-		return errs
-	}
-	for j, i := range clean {
-		r := results[j]
-		if r.OK {
-			continue
-		}
-		errs[i] = remoteEntryErr(r.Code, r.Error)
-	}
-	return errs
-}
-
-// commitBatchRPC sends one CommitBatch for a same-node run; qos rides
-// the sweeper's InvokeQoS exactly like per-entity redrive commits.
-func (m *Manager) commitBatchRPC(ctx context.Context, nid, user string, entries []batchEntry, action string, args wire.Args, qos bool) ([]batchCommitResult, error) {
-	ctx, span := trace.Start(ctx, "links.CommitBatch")
+	user := run[0].Ref.User
+	ctx, span := trace.Start(ctx, "links.Commit")
 	if span != nil {
-		span.Annotate(trace.String("node", user), trace.Int("targets", len(entries)))
+		span.Annotate(trace.String("node", user), trace.Int("targets", len(run)))
 		if qos {
 			span.Annotate(trace.Bool("redrive", true))
 		}
 	}
-	var out struct {
-		Results []batchCommitResult `json:"results"`
+	out := make([]error, len(run))
+	entities := make([]string, 0, len(run))
+	tokens := make([]string, 0, len(run))
+	for i, t := range run {
+		if out[i] = m.commitFaultFor(nid, t.Ref); out[i] == nil {
+			entities = append(entities, t.Ref.Entity)
+			tokens = append(tokens, t.Token)
+		}
 	}
-	callArgs := wire.Args{
-		"entries": entries, "action": action, "args": map[string]any(args), "nid": nid,
+	var errs []error
+	switch {
+	case len(entities) == 0:
+	case user == m.self:
+		// Same protocol as a remote participant: duplicate ack,
+		// stale-token rejection, and — crucial after a coordinator
+		// restart wiped the in-memory lock table — the late commit that
+		// re-locks and re-runs Check instead of applying blindly.
+		errs = m.commitEntities(ctx, entities, tokens, nid, action, args, m.self)
+	default:
+		var reply runReply
+		callArgs := wire.Args{
+			"entities": entities, "tokens": tokens, "action": action,
+			"args": map[string]any(args), "nid": nid,
+		}
+		var err error
+		if qos {
+			err = m.eng.InvokeQoS(ctx, commitQoS(m.tune()), ServiceFor(user), "Commit", callArgs, &reply)
+		} else {
+			err = m.eng.Invoke(ctx, ServiceFor(user), "Commit", callArgs, &reply)
+		}
+		if err == nil {
+			errs, err = entryErrs(reply.Failed, len(entities), user, "Commit")
+		}
+		if err != nil {
+			errs = make([]error, len(entities))
+			for j := range errs {
+				errs[j] = err
+			}
+		}
 	}
-	var err error
-	if qos {
-		err = m.eng.InvokeQoS(ctx, commitQoS(m.tune()), ServiceFor(user), "CommitBatch", callArgs, &out)
-	} else {
-		err = m.eng.Invoke(ctx, ServiceFor(user), "CommitBatch", callArgs, &out)
+	if errs != nil {
+		j := 0
+		for i := range out {
+			if out[i] == nil {
+				out[i] = errs[j]
+				j++
+			}
+		}
 	}
-	if err == nil && len(out.Results) != len(entries) {
-		err = &wire.RemoteError{Code: wire.CodeInternal,
-			Msg: fmt.Sprintf("links: CommitBatch returned %d results for %d entries", len(out.Results), len(entries))}
-	}
-	span.FinishErr(err)
-	if err != nil {
-		return nil, err
-	}
-	return out.Results, nil
+	span.FinishErr(firstErr(out))
+	return out
 }
 
 // ---------------------------------------------------------------------
 // Coordinator side: abort.
 
-// abortMarked releases every successfully marked target, one
-// AbortBatch per node. Errors are ignored, matching abortTarget: an
-// unreachable participant resolves the doubt itself via the pending
-// mark sweep.
+// abortMarked releases every successfully marked target, one Abort per
+// node. Errors are ignored: an unreachable participant resolves the
+// doubt itself via the pending-mark sweep.
 func (m *Manager) abortMarked(ctx context.Context, nid string, marks []markResult) {
 	var tgts []journalTarget
 	for _, mr := range marks {
@@ -334,31 +357,29 @@ func (m *Manager) abortMarked(ctx context.Context, nid string, marks []markResul
 	}
 }
 
-// abortRun aborts one same-node run of marked targets.
+// abortRun releases one same-node run of marked targets without change:
+// one Abort RPC, or plain unlocks when this node owns the run.
 func (m *Manager) abortRun(ctx context.Context, nid string, run []journalTarget) {
-	if len(run) == 1 || run[0].Ref.User == m.self || !m.batchEnabled() {
+	user := run[0].Ref.User
+	ctx, span := trace.Start(ctx, "links.Abort")
+	if span != nil {
+		span.Annotate(trace.String("node", user), trace.Int("targets", len(run)))
+		defer span.Finish()
+	}
+	if user == m.self {
 		for _, t := range run {
-			m.abortTarget(ctx, nid, t.Ref, t.Token)
+			m.Locks.Unlock(lockKey(t.Ref.Entity), t.Token)
 		}
 		return
 	}
-	ctx, span := trace.Start(ctx, "links.AbortBatch")
-	if span != nil {
-		span.Annotate(trace.String("node", run[0].Ref.User), trace.Int("targets", len(run)))
-		defer span.Finish()
-	}
-	entries := make([]batchEntry, len(run))
+	entities := make([]string, len(run))
+	tokens := make([]string, len(run))
 	for i, t := range run {
-		entries[i] = batchEntry{Entity: t.Ref.Entity, Token: t.Token}
+		entities[i], tokens[i] = t.Ref.Entity, t.Token
 	}
-	err := m.eng.Invoke(ctx, ServiceFor(run[0].Ref.User), "AbortBatch", wire.Args{
-		"entries": entries, "nid": nid,
+	_ = m.eng.Invoke(ctx, ServiceFor(user), "Abort", wire.Args{
+		"entities": entities, "tokens": tokens, "nid": nid,
 	}, nil)
-	if wire.CodeOf(err) == wire.CodeNoMethod {
-		for _, t := range run {
-			m.abortTarget(ctx, nid, t.Ref, t.Token)
-		}
-	}
 }
 
 // groupByUser collects tgts indices into per-user groups, preserving
@@ -377,97 +398,4 @@ func groupByUser(tgts []journalTarget) [][]int {
 		order[g] = append(order[g], i)
 	}
 	return order
-}
-
-// ---------------------------------------------------------------------
-// Participant side.
-
-// registerBatch installs the per-node batch RPC handlers next to their
-// per-entity siblings. Each entry runs the exact per-entity protocol
-// (markLocal + pending-mark recording, the commitLocalToken decision
-// table, unlock + decided-abort) and reports its own outcome, so a
-// batch is observationally a pipelined sequence of the per-entity
-// RPCs minus the per-entity round trips.
-func (m *Manager) registerBatch(obj *listener.Object, argsOf func(*listener.Call) wire.Args) {
-	// MarkBatch: phase-1 lock + check for every entity in one round
-	// trip. With stop set (And), entries after the first failure are
-	// skipped — the constraint is already doomed, and the per-entity
-	// path would not have marked them either.
-	obj.Handle("MarkBatch", func(ctx context.Context, call *listener.Call) (any, error) {
-		action := call.Args.String("action")
-		entities := call.Args.Strings("entities")
-		if action == "" || len(entities) == 0 {
-			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "MarkBatch needs action and entities"}
-		}
-		nid := call.Args.String("nid")
-		stop := call.Args.Bool("stop")
-		args := argsOf(call)
-		results := make([]batchMarkResult, len(entities))
-		failed := false
-		for i, entity := range entities {
-			if failed && stop {
-				results[i] = batchMarkResult{Error: errSkippedMark().Error(), Code: wire.CodeConflict}
-				continue
-			}
-			tok, err := m.markLocal(entity, action, args)
-			if err != nil {
-				results[i] = batchMarkResult{Error: err.Error(), Code: wire.CodeOf(err)}
-				failed = true
-				continue
-			}
-			if nid != "" && call.Caller != "" {
-				p := &pendingMark{
-					Token: tok, Entity: entity, Action: action, Args: args,
-					NID: nid, Coordinator: call.Caller, Created: m.clk.Now(),
-				}
-				if span := trace.FromContext(ctx); span != nil {
-					p.TraceID, p.SpanID = span.TraceID, span.SpanID
-				}
-				m.notePendingMark(p)
-			}
-			results[i] = batchMarkResult{Token: tok}
-		}
-		return map[string]any{"results": results}, nil
-	})
-
-	// CommitBatch: phase-2 apply + unlock for every entry, each through
-	// the full commitLocalToken decision table (duplicate ack, decided
-	// abort, stale token, late commit), safe to re-deliver.
-	obj.Handle("CommitBatch", func(ctx context.Context, call *listener.Call) (any, error) {
-		var entries []batchEntry
-		if err := call.Args.Decode("entries", &entries); err != nil || len(entries) == 0 {
-			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "CommitBatch needs entries"}
-		}
-		nid := call.Args.String("nid")
-		action := call.Args.String("action")
-		args := argsOf(call)
-		results := make([]batchCommitResult, len(entries))
-		for i, e := range entries {
-			err := m.commitLocalToken(ctx, e.Entity, e.Token, nid, action, args, call.Caller)
-			if err != nil {
-				results[i] = batchCommitResult{Error: err.Error(), Code: wire.CodeOf(err)}
-				continue
-			}
-			results[i] = batchCommitResult{OK: true}
-		}
-		return map[string]any{"results": results}, nil
-	})
-
-	// AbortBatch: release every entry without change; duplicates are
-	// no-ops and later Commits for the tokens are rejected.
-	obj.Handle("AbortBatch", func(ctx context.Context, call *listener.Call) (any, error) {
-		var entries []batchEntry
-		if err := call.Args.Decode("entries", &entries); err != nil || len(entries) == 0 {
-			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "AbortBatch needs entries"}
-		}
-		nid := call.Args.String("nid")
-		for _, e := range entries {
-			m.Locks.Unlock(lockKey(e.Entity), e.Token)
-			if e.Token != "" {
-				m.noteDecided(e.Token, nid, false)
-				trace.EventCtx(ctx, "links.decided", trace.String("kind", "abort"))
-			}
-		}
-		return true, nil
-	})
 }

@@ -111,15 +111,12 @@ func TestStrandedLockExpires(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	ctx := context.Background()
 	// "a" marks b's entity remotely and then crashes (never commits).
-	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "s", "action": "reserve", "args": map[string]any{"meeting": "DEAD"},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, code := markOne(t, h, "a", "b", "s", "reserve", map[string]any{"meeting": "DEAD"}, ""); code != wire.CodeOK {
+		t.Fatalf("Mark entry = %s", code)
 	}
 	// A new negotiation against the same entity fails while the lock
 	// is live...
-	_, err = h.nodes["a"].Links.Negotiate(ctx, links.Spec{
+	_, err := h.nodes["a"].Links.Negotiate(ctx, links.Spec{
 		Action: "reserve", Args: wire.Args{"meeting": "M2"},
 		Targets: refs("b", "s"), Constraint: links.And,
 	})

@@ -404,9 +404,9 @@ func (m *Manager) redriveJournal(ctx context.Context, rec *journalRec) bool {
 			}
 		}
 	}
-	// One CommitBatch per owning node (commitGrouped fans the node
-	// groups out concurrently), so a redrive round still costs roughly
-	// one QoS round trip — now O(nodes) sends instead of O(entities).
+	// One Commit per owning node (commitGrouped fans the node groups
+	// out concurrently), so a redrive round costs roughly one QoS round
+	// trip and O(nodes) sends.
 	errs := m.commitGrouped(ctx, rec.ID, rec.Pending, rec.Action, rec.Args, true)
 	var still []journalTarget
 	for i, tgt := range rec.Pending {

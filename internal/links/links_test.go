@@ -832,36 +832,22 @@ func TestRemoteLinksServiceRoundTrip(t *testing.T) {
 	if !ok || got.Owner.User != "b" {
 		t.Fatalf("remote install failed: %+v ok=%v", got, ok)
 	}
-	// Remote Mark/Commit through the service.
-	var out struct {
-		Token string `json:"token"`
-	}
-	err := h.nodes["a"].Engine.Invoke(ctxBg(), links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "slot9", "action": "reserve", "args": map[string]any{"meeting": "MM"},
-	}, &out)
-	if err != nil || out.Token == "" {
-		t.Fatalf("Mark: %v token=%q", err, out.Token)
+	// Remote Mark/Commit through the service, one entity per list.
+	tok, code := markOne(t, h, "a", "b", "slot9", "reserve", map[string]any{"meeting": "MM"}, "")
+	if code != wire.CodeOK {
+		t.Fatalf("Mark entry = %s", code)
 	}
 	// Second mark conflicts.
-	err = h.nodes["a"].Engine.Invoke(ctxBg(), links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "slot9", "action": "reserve", "args": map[string]any{"meeting": "ZZ"},
-	}, nil)
-	if wire.CodeOf(err) != wire.CodeConflict {
-		t.Fatalf("second Mark: %v", err)
+	if _, code := markOne(t, h, "a", "b", "slot9", "reserve", map[string]any{"meeting": "ZZ"}, ""); code != wire.CodeConflict {
+		t.Fatalf("second Mark entry = %s, want conflict", code)
 	}
 	// Commit with a stale token fails.
-	err = h.nodes["a"].Engine.Invoke(ctxBg(), links.ServiceFor("b"), "Commit", wire.Args{
-		"entity": "slot9", "token": "bogus", "action": "reserve", "args": map[string]any{"meeting": "MM"},
-	}, nil)
-	if wire.CodeOf(err) != wire.CodeConflict {
-		t.Fatalf("stale commit: %v", err)
+	if code := commitOne(t, h, "a", "b", "slot9", "bogus", "reserve", map[string]any{"meeting": "MM"}, ""); code != wire.CodeConflict {
+		t.Fatalf("stale commit entry = %s, want conflict", code)
 	}
 	// Proper commit applies.
-	err = h.nodes["a"].Engine.Invoke(ctxBg(), links.ServiceFor("b"), "Commit", wire.Args{
-		"entity": "slot9", "token": out.Token, "action": "reserve", "args": map[string]any{"meeting": "MM"},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	if code := commitOne(t, h, "a", "b", "slot9", tok, "reserve", map[string]any{"meeting": "MM"}, ""); code != wire.CodeOK {
+		t.Fatalf("commit entry = %s", code)
 	}
 	if h.nodes["b"].status("slot9") != "MM" {
 		t.Fatalf("status = %q", h.nodes["b"].status("slot9"))

@@ -81,11 +81,6 @@ type Manager struct {
 	// mid-protocol, or to interleave sweeps with a live phase 1.
 	commitFault func(nid string, ref EntityRef) error
 	markFault   func(nid string, ref EntityRef) error
-
-	// batchOff disables the per-node MarkBatch/CommitBatch/AbortBatch
-	// RPCs (see batch.go); outcomes are identical either way, so this
-	// exists for equivalence tests, not operation.
-	batchOff bool
 }
 
 // NewManager creates the links manager for user self, creating the
@@ -174,9 +169,10 @@ func (m *Manager) lastLSN() (uint64, bool) {
 }
 
 // SetCommitFault installs (or, with nil, removes) a phase-2 fault
-// injector: commitTarget consults it before sending and treats a
-// non-nil error as the send's outcome. Chaos tests use it to model a
-// coordinator crash between commits; production code leaves it unset.
+// injector: commitRun consults it once per target before sending and
+// treats a non-nil error as that target's outcome. Chaos tests use it
+// to model a coordinator crash between commits; production code leaves
+// it unset.
 func (m *Manager) SetCommitFault(f func(nid string, ref EntityRef) error) {
 	m.mu.Lock()
 	m.commitFault = f
@@ -194,8 +190,8 @@ func (m *Manager) commitFaultFor(nid string, ref EntityRef) error {
 }
 
 // SetMarkFault installs (or, with nil, removes) a phase-1 fault
-// injector: markTarget consults it before sending. Fault tests use it
-// to interleave participant sweeps with a live mark phase.
+// injector: markRun consults it once per target before sending. Fault
+// tests use it to interleave participant sweeps with a live mark phase.
 func (m *Manager) SetMarkFault(f func(nid string, ref EntityRef) error) {
 	m.mu.Lock()
 	m.markFault = f

@@ -364,10 +364,9 @@ func errDetail(err error) string {
 
 // markSequential marks targets in the given (user-major sorted) order,
 // stopping at the first failure (And semantics: any failure already
-// dooms the constraint). Contiguous same-node runs ride one MarkBatch
-// each; the run boundaries preserve the global entity order, so
-// overlapping negotiations still acquire locks in the same order as
-// the per-entity protocol and cannot deadlock.
+// dooms the constraint). Each contiguous same-node run rides one Mark;
+// the run boundaries preserve the global entity order, so overlapping
+// negotiations acquire locks in one order and cannot deadlock.
 func (m *Manager) markSequential(ctx context.Context, nid string, targets []EntityRef, action string, args wire.Args, res *Result) []markResult {
 	marks := make([]markResult, 0, len(targets))
 	failed := false
@@ -378,7 +377,7 @@ func (m *Manager) markSequential(ctx context.Context, nid string, targets []Enti
 		}
 		if failed {
 			for _, ref := range targets[start:end] {
-				marks = append(marks, markResult{ref: ref, err: errSkippedMark()})
+				marks = append(marks, markResult{ref: ref, err: errSkippedMark})
 			}
 			start = end
 			continue
@@ -398,7 +397,7 @@ func (m *Manager) markSequential(ctx context.Context, nid string, targets []Enti
 }
 
 // markParallel marks all targets concurrently (Or/Xor semantics), one
-// goroutine — and for co-located targets, one MarkBatch — per node.
+// goroutine and one Mark per node.
 func (m *Manager) markParallel(ctx context.Context, nid string, targets []EntityRef, action string, args wire.Args, res *Result) []markResult {
 	marks := make([]markResult, len(targets))
 	groups := make(map[string][]int, len(targets))
@@ -463,93 +462,6 @@ func (m *Manager) applyLocal(entity, action string, args wire.Args) error {
 		return a.Apply(entity, args)
 	}
 	return nil
-}
-
-// markTarget marks a (possibly remote) target entity. The negotiation
-// id rides along so the participant can resolve the outcome itself if
-// neither Commit nor Abort ever reaches it.
-func (m *Manager) markTarget(ctx context.Context, nid string, ref EntityRef, action string, args wire.Args) (string, error) {
-	ctx, span := trace.Start(ctx, "links.Mark")
-	if span != nil {
-		span.Annotate(trace.String("target", ref.String()))
-	}
-	tok, err := m.markTargetInner(ctx, nid, ref, action, args)
-	span.FinishErr(err)
-	return tok, err
-}
-
-func (m *Manager) markTargetInner(ctx context.Context, nid string, ref EntityRef, action string, args wire.Args) (string, error) {
-	if err := m.markFaultFor(nid, ref); err != nil {
-		return "", err
-	}
-	if ref.User == m.self {
-		return m.markLocal(ref.Entity, action, args)
-	}
-	var out struct {
-		Token string `json:"token"`
-	}
-	err := m.eng.Invoke(ctx, ServiceFor(ref.User), "Mark", wire.Args{
-		"entity": ref.Entity, "action": action, "args": map[string]any(args), "nid": nid,
-	}, &out)
-	if err != nil {
-		return "", err
-	}
-	return out.Token, nil
-}
-
-// commitTarget applies the change at a marked target and releases its
-// lock. With qos set (the retry sweeper's path) the Commit rides
-// engine.InvokeQoS so one sweep absorbs short transient blips; the
-// first in-line attempt uses a plain Invoke — a failure there is
-// journaled, not blocking.
-func (m *Manager) commitTarget(ctx context.Context, nid string, ref EntityRef, token, action string, args wire.Args, qos bool) error {
-	ctx, span := trace.Start(ctx, "links.Commit")
-	if span != nil {
-		span.Annotate(trace.String("target", ref.String()))
-		if qos {
-			span.Annotate(trace.Bool("redrive", true))
-		}
-	}
-	err := m.commitTargetInner(ctx, nid, ref, token, action, args, qos)
-	span.FinishErr(err)
-	return err
-}
-
-func (m *Manager) commitTargetInner(ctx context.Context, nid string, ref EntityRef, token, action string, args wire.Args, qos bool) error {
-	if err := m.commitFaultFor(nid, ref); err != nil {
-		return err
-	}
-	if ref.User == m.self {
-		// Same protocol as the remote Commit handler: duplicate ack,
-		// stale-token rejection, and — crucial after a coordinator
-		// restart wiped the in-memory lock table — the late-commit
-		// path that re-locks and re-runs Check instead of applying
-		// blindly over whatever booked the entity since.
-		return m.commitLocalToken(ctx, ref.Entity, token, nid, action, args, m.self)
-	}
-	callArgs := wire.Args{
-		"entity": ref.Entity, "token": token, "action": action, "args": map[string]any(args), "nid": nid,
-	}
-	if qos {
-		return m.eng.InvokeQoS(ctx, commitQoS(m.tune()), ServiceFor(ref.User), "Commit", callArgs, nil)
-	}
-	return m.eng.Invoke(ctx, ServiceFor(ref.User), "Commit", callArgs, nil)
-}
-
-// abortTarget releases a marked target without changing it.
-func (m *Manager) abortTarget(ctx context.Context, nid string, ref EntityRef, token string) {
-	ctx, span := trace.Start(ctx, "links.Abort")
-	if span != nil {
-		span.Annotate(trace.String("target", ref.String()))
-		defer span.Finish()
-	}
-	if ref.User == m.self {
-		m.Locks.Unlock(lockKey(ref.Entity), token)
-		return
-	}
-	_ = m.eng.Invoke(ctx, ServiceFor(ref.User), "Abort", wire.Args{
-		"entity": ref.Entity, "token": token, "nid": nid,
-	}, nil)
 }
 
 // CheckAvailable runs the action's Check (no lock, no change) against

@@ -13,28 +13,19 @@ import (
 // was lost) must acknowledge without applying the action a second time.
 func TestDuplicateCommitIdempotent(t *testing.T) {
 	h := newHarness(t, "a", "b")
-	ctx := context.Background()
+	args := map[string]any{"text": "hi"}
 
-	var tok struct {
-		Token string `json:"token"`
+	tok, code := markOne(t, h, "a", "b", "s", "note", args, "N-dup")
+	if code != wire.CodeOK {
+		t.Fatalf("Mark entry = %s", code)
 	}
-	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "s", "action": "note", "args": map[string]any{"text": "hi"}, "nid": "N-dup",
-	}, &tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit := wire.Args{
-		"entity": "s", "token": tok.Token, "action": "note",
-		"args": map[string]any{"text": "hi"}, "nid": "N-dup",
-	}
-	if err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", commit, nil); err != nil {
-		t.Fatalf("first commit: %v", err)
+	if code := commitOne(t, h, "a", "b", "s", tok, "note", args, "N-dup"); code != wire.CodeOK {
+		t.Fatalf("first commit entry = %s", code)
 	}
 	// Same Commit again — e.g. the coordinator's sweeper re-sent it
 	// because the first response was dropped.
-	if err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", commit, nil); err != nil {
-		t.Fatalf("duplicate commit not acked: %v", err)
+	if code := commitOne(t, h, "a", "b", "s", tok, "note", args, "N-dup"); code != wire.CodeOK {
+		t.Fatalf("duplicate commit not acked: entry = %s", code)
 	}
 	if n := h.nodes["b"].noteCount(); n != 1 {
 		t.Fatalf("action applied %d times, want 1", n)
@@ -52,14 +43,9 @@ func TestStaleTokenCommitRejected(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	ctx := context.Background()
 
-	var tok struct {
-		Token string `json:"token"`
-	}
-	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "s", "action": "reserve", "args": map[string]any{"meeting": "OLD"}, "nid": "N-old",
-	}, &tok)
-	if err != nil {
-		t.Fatal(err)
+	tok, code := markOne(t, h, "a", "b", "s", "reserve", map[string]any{"meeting": "OLD"}, "N-old")
+	if code != wire.CodeOK {
+		t.Fatalf("Mark entry = %s", code)
 	}
 	// The coordinator stalls past the lock TTL; another negotiation
 	// steals the lock and reserves the slot.
@@ -74,12 +60,8 @@ func TestStaleTokenCommitRejected(t *testing.T) {
 		t.Fatalf("slot = %q, want NEW", got)
 	}
 	// The stale Commit finally arrives. It must not apply.
-	err = h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", wire.Args{
-		"entity": "s", "token": tok.Token, "action": "reserve",
-		"args": map[string]any{"meeting": "OLD"}, "nid": "N-old",
-	}, nil)
-	if wire.CodeOf(err) != wire.CodeConflict {
-		t.Fatalf("stale commit err = %v, want conflict", err)
+	if code := commitOne(t, h, "a", "b", "s", tok, "reserve", map[string]any{"meeting": "OLD"}, "N-old"); code != wire.CodeConflict {
+		t.Fatalf("stale commit entry = %s, want conflict", code)
 	}
 	if got := h.nodes["b"].status("s"); got != "NEW" {
 		t.Fatalf("stale commit clobbered slot: %q", got)
@@ -295,23 +277,14 @@ func TestRedriveRechecksRebookedEntity(t *testing.T) {
 // table — not re-applied through the late-commit path.
 func TestDecidedOutcomeSurvivesRestart(t *testing.T) {
 	h := newHarness(t, "a", "b")
-	ctx := context.Background()
+	args := map[string]any{"text": "hi"}
 
-	var tok struct {
-		Token string `json:"token"`
+	tok, code := markOne(t, h, "a", "b", "s", "note", args, "N-restart")
+	if code != wire.CodeOK {
+		t.Fatalf("Mark entry = %s", code)
 	}
-	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "s", "action": "note", "args": map[string]any{"text": "hi"}, "nid": "N-restart",
-	}, &tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit := wire.Args{
-		"entity": "s", "token": tok.Token, "action": "note",
-		"args": map[string]any{"text": "hi"}, "nid": "N-restart",
-	}
-	if err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", commit, nil); err != nil {
-		t.Fatalf("first commit: %v", err)
+	if code := commitOne(t, h, "a", "b", "s", tok, "note", args, "N-restart"); code != wire.CodeOK {
+		t.Fatalf("first commit entry = %s", code)
 	}
 	if n := h.nodes["b"].noteCount(); n != 1 {
 		t.Fatalf("action applied %d times, want 1", n)
@@ -333,8 +306,8 @@ func TestDecidedOutcomeSurvivesRestart(t *testing.T) {
 	h.nodes["b"].Listener.Register(links.ServiceFor("b"), lm2.Object())
 
 	// The coordinator's sweeper re-sends the Commit whose ack was lost.
-	if err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", commit, nil); err != nil {
-		t.Fatalf("re-sent commit after restart not acked: %v", err)
+	if code := commitOne(t, h, "a", "b", "s", tok, "note", args, "N-restart"); code != wire.CodeOK {
+		t.Fatalf("re-sent commit after restart not acked: entry = %s", code)
 	}
 	if applied != 0 {
 		t.Fatalf("re-sent commit re-applied the action %d times after restart", applied)
@@ -396,14 +369,9 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 	ctx := context.Background()
 	h.nodes["b"].Links.SetTuning(links.Tuning{PresumeAbortAfter: time.Minute})
 
-	var tok struct {
-		Token string `json:"token"`
-	}
-	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "s", "action": "reserve", "args": map[string]any{"meeting": "GHOST"}, "nid": "N-ghost",
-	}, &tok)
-	if err != nil {
-		t.Fatal(err)
+	tok, code := markOne(t, h, "a", "b", "s", "reserve", map[string]any{"meeting": "GHOST"}, "N-ghost")
+	if code != wire.CodeOK {
+		t.Fatalf("Mark entry = %s", code)
 	}
 	if n := h.nodes["b"].Links.PendingMarks(); n != 1 {
 		t.Fatalf("pending marks = %d, want 1", n)
@@ -438,12 +406,8 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 	// The ghost coordinator returns and re-sends its Commit: too late —
 	// the presumed abort is sticky.
 	h.net.SetDown("node-a", false)
-	err = h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", wire.Args{
-		"entity": "s", "token": tok.Token, "action": "reserve",
-		"args": map[string]any{"meeting": "GHOST"}, "nid": "N-ghost",
-	}, nil)
-	if wire.CodeOf(err) != wire.CodeConflict {
-		t.Fatalf("post-abort commit err = %v, want conflict", err)
+	if code := commitOne(t, h, "a", "b", "s", tok, "reserve", map[string]any{"meeting": "GHOST"}, "N-ghost"); code != wire.CodeConflict {
+		t.Fatalf("post-abort commit entry = %s, want conflict", code)
 	}
 	// The slot is free for a fresh negotiation.
 	if _, err := h.nodes["b"].Links.Negotiate(ctx, links.Spec{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/listener"
 	"repro/internal/trace"
@@ -81,6 +82,17 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 	return nil
 }
 
+// entityTokens reads the parallel entity and token lists of a Commit or
+// Abort call.
+func entityTokens(call *listener.Call) (entities, tokens []string, err error) {
+	entities, tokens = call.Args.Strings("entities"), call.Args.Strings("tokens")
+	if len(entities) == 0 || len(entities) != len(tokens) {
+		return nil, nil, &wire.RemoteError{Code: wire.CodeBadArgs,
+			Msg: fmt.Sprintf("%s needs equal-length entities and tokens (got %d and %d)", call.Method, len(entities), len(tokens))}
+	}
+	return entities, tokens, nil
+}
+
 // Object returns the listener object exposing this manager to remote
 // negotiators and cascade operations. Register it as links.<user>.
 func (m *Manager) Object() *listener.Object {
@@ -101,63 +113,50 @@ func (m *Manager) Object() *listener.Object {
 		return wire.Args(inner)
 	}
 
-	// Mark: phase-1 lock + condition check (§4.3 "Mark X ... an
-	// attempted change, which triggers any associated link without
-	// actual change on X"). The negotiation id and caller are recorded
-	// with the mark so the participant can later resolve the outcome
-	// itself (QueryOutcome) if Commit/Abort never arrives.
+	// Mark: phase-1 lock + condition check of a list of entities (§4.3
+	// "Mark X ... an attempted change, which triggers any associated
+	// link without actual change on X"). With stop set (And) entries
+	// after the first failure are skipped. The negotiation id and caller
+	// are recorded with each mark so the participant can later resolve
+	// the outcome itself (QueryOutcome) if Commit/Abort never arrives.
 	obj.Handle("Mark", func(ctx context.Context, call *listener.Call) (any, error) {
-		entity := call.Args.String("entity")
 		action := call.Args.String("action")
-		if entity == "" || action == "" {
-			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "Mark needs entity and action"}
+		entities := call.Args.Strings("entities")
+		if action == "" || len(entities) == 0 || slices.Contains(entities, "") {
+			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "Mark needs action and non-empty entities"}
 		}
-		args := argsOf(call)
-		tok, err := m.markLocal(entity, action, args)
+		tokens, errs := m.markEntities(ctx, entities, action, argsOf(call),
+			call.Args.String("nid"), call.Caller, call.Args.Bool("stop"))
+		return &runReply{Tokens: tokens, Failed: failuresOf(errs)}, nil
+	})
+
+	// Commit: phase-2 apply + unlock of each (entity, token) pair, safe
+	// to re-deliver (see commitLocalToken for the decision table).
+	obj.Handle("Commit", func(ctx context.Context, call *listener.Call) (any, error) {
+		entities, tokens, err := entityTokens(call)
 		if err != nil {
 			return nil, err
 		}
-		if nid := call.Args.String("nid"); nid != "" && call.Caller != "" {
-			p := &pendingMark{
-				Token: tok, Entity: entity, Action: action, Args: args,
-				NID: nid, Coordinator: call.Caller, Created: m.clk.Now(),
-			}
-			// Remember the request's trace so a later resolution sweep
-			// stitches its spans under this Mark.
-			if span := trace.FromContext(ctx); span != nil {
-				p.TraceID, p.SpanID = span.TraceID, span.SpanID
-			}
-			m.notePendingMark(p)
-		}
-		return map[string]string{"token": tok}, nil
+		errs := m.commitEntities(ctx, entities, tokens, call.Args.String("nid"),
+			call.Args.String("action"), argsOf(call), call.Caller)
+		return &runReply{Failed: failuresOf(errs)}, nil
 	})
 
-	// Commit: phase-2 apply + unlock, safe to re-deliver (see
-	// commitLocalToken for the full decision table).
-	obj.Handle("Commit", func(ctx context.Context, call *listener.Call) (any, error) {
-		entity := call.Args.String("entity")
-		token := call.Args.String("token")
-		nid := call.Args.String("nid")
-		action := call.Args.String("action")
-		if err := m.commitLocalToken(ctx, entity, token, nid, action, argsOf(call), call.Caller); err != nil {
+	// Abort: release each (entity, token) pair without change;
+	// duplicates are no-ops and later Commits for the tokens are
+	// rejected.
+	obj.Handle("Abort", func(ctx context.Context, call *listener.Call) (any, error) {
+		entities, tokens, err := entityTokens(call)
+		if err != nil {
 			return nil, err
 		}
-		return true, nil
-	})
-
-	// MarkBatch/CommitBatch/AbortBatch: the per-node batched forms of
-	// the three RPCs above (see batch.go).
-	m.registerBatch(obj, argsOf)
-
-	// Abort: release without change; duplicates are no-ops and later
-	// Commits for the token are rejected.
-	obj.Handle("Abort", func(ctx context.Context, call *listener.Call) (any, error) {
-		entity := call.Args.String("entity")
-		token := call.Args.String("token")
-		m.Locks.Unlock(lockKey(entity), token)
-		if token != "" {
-			m.noteDecided(token, call.Args.String("nid"), false)
-			trace.EventCtx(ctx, "links.decided", trace.String("kind", "abort"))
+		nid := call.Args.String("nid")
+		for i, entity := range entities {
+			m.Locks.Unlock(lockKey(entity), tokens[i])
+			if tokens[i] != "" {
+				m.noteDecided(tokens[i], nid, false)
+				trace.EventCtx(ctx, "links.decided", trace.String("kind", "abort"))
+			}
 		}
 		return true, nil
 	})

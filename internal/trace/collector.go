@@ -177,9 +177,9 @@ func (c *Collector) Find(traceID string) *Tree {
 //
 //	trace 9c00f5… 14.2ms spans=9 nodes=4 IN-DOUBT
 //	└─ links.Negotiate 14.2ms @u00 code=in-doubt nid=N-…
-//	   ├─ links.Mark 1.1ms @u00 target=u01/slot…
+//	   ├─ links.Mark 1.1ms @u00 node=u01 targets=1
 //	   │  └─ rpc.server 0.6ms @u01 service=links.u01 method=Mark
-//	   └─ links.Commit 2.0ms @u00 target=u01/slot… code=unavailable
+//	   └─ links.Commit 2.0ms @u00 node=u01 targets=1 code=unavailable
 func (t *Tree) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace %s %s spans=%d nodes=%d", t.TraceID, fmtDur(t.Duration), t.Spans, t.Nodes)
